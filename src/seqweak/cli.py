@@ -9,6 +9,7 @@ plain numbers in mm.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -61,9 +62,13 @@ def parse_length_mm(text: str, flag: str) -> float:
     scale = {"mm": 1.0, "um": 1e-3}.get(stripped[-2:])
     if scale is not None:
         try:
-            return float(stripped[:-2]) * scale
+            value = float(stripped[:-2]) * scale
         except ValueError:
             pass
+        else:
+            if math.isfinite(value):
+                return value
+            raise UsageError(f"{flag} must be a finite length, got {text!r}")
     raise UsageError(f"{flag} needs a number with an mm or um suffix, got {text!r}")
 
 
@@ -209,6 +214,8 @@ def cmd_sweep(args) -> int:
         start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise UsageError(f"--delta-range must be start:stop:steps, got {range_text!r}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise UsageError(f"--delta-range endpoints must be finite, got {range_text!r}")
 
     engine_sets = {
         "analytic": frozenset({Engine.ANALYTIC}),
@@ -256,9 +263,11 @@ def cmd_image(args) -> int:
         delta_mm = parse_length_mm(args.delta, "--delta")
     sigma_mm, _ = _sigma_from_args(args)
     grid = _grid_from_args(args)
-    image = scenario_intensity_image(
-        Scenario(ScenarioKind.SEQUENTIAL, sigma_mm=sigma_mm), delta_mm, grid
-    )
+    try:
+        scenario = Scenario(ScenarioKind.SEQUENTIAL, sigma_mm=sigma_mm)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    image = scenario_intensity_image(scenario, delta_mm, grid)
 
     out.write_bytes(render_pgm(image))
     if args.raw is not None:

@@ -9,6 +9,7 @@ inverting the 0.331 mm zero crossing of the joint deflection, not measured.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from .errors import NoInteriorExtremum, NoSignChange, SimulationError, SweepEngi
 from .grid import (
     GridSpec,
     IntensityImage,
+    PolarizedField,
     apply_conditional_shift,
     apply_polarization_unitary,
     discrete_means,
@@ -69,8 +71,8 @@ class Scenario:
     mid_angle_deg: float = -30.0
 
     def __post_init__(self):
-        if not self.sigma_mm > 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma_mm < math.inf:
+            raise ValueError("sigma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,8 @@ class SweepSpec:
         object.__setattr__(self, "engines", frozenset(self.engines))
         if self.steps < 2:
             raise ValueError("a sweep needs at least two points")
+        if not (math.isfinite(self.delta_start_mm) and math.isfinite(self.delta_stop_mm)):
+            raise ValueError("sweep endpoints must be finite")
         if self.delta_start_mm < 0.0:
             raise ValueError("sweep must start at a nonnegative coupling")
         if not self.delta_stop_mm > self.delta_start_mm:
@@ -132,18 +136,17 @@ def analytic_deflections(scenario: Scenario, delta_mm: float) -> DeflectionTripl
     )
 
 
-def scenario_intensity_image(scenario: Scenario, delta_mm: float, grid: GridSpec) -> IntensityImage:
-    """Detector image of the single-beam trains (sequential or single)."""
-    if scenario.kind is ScenarioKind.TWO_QUBIT:
-        raise ValueError("the two-beam scenario has no single detector image")
-    field = apply_conditional_shift(
-        apply_polarization_unitary(
-            init_gaussian(grid, scenario.sigma_mm, HORIZONTAL),
-            waveplate_hwp(scenario.prep_angle_deg),
-        ),
-        delta_mm,
-        Axis.X,
+def _prepare_beam(scenario: Scenario, grid: GridSpec) -> PolarizedField:
+    """The coupling-independent start of every grid train: the Gaussian
+    beam after the preparation plate."""
+    return apply_polarization_unitary(
+        init_gaussian(grid, scenario.sigma_mm, HORIZONTAL),
+        waveplate_hwp(scenario.prep_angle_deg),
     )
+
+
+def _train_image(scenario: Scenario, delta_mm: float, prepared: PolarizedField) -> IntensityImage:
+    field = apply_conditional_shift(prepared, delta_mm, Axis.X)
     if scenario.kind is ScenarioKind.SEQUENTIAL:
         field = apply_conditional_shift(
             apply_polarization_unitary(field, waveplate_hwp(scenario.mid_angle_deg)),
@@ -153,32 +156,41 @@ def scenario_intensity_image(scenario: Scenario, delta_mm: float, grid: GridSpec
     return intensity(field)
 
 
-def grid_deflections(scenario: Scenario, delta_mm: float, grid: GridSpec) -> DeflectionTriple:
-    """Deflections read off the simulated optical train on the grid."""
+def _train_deflections(
+    scenario: Scenario, delta_mm: float, prepared: PolarizedField
+) -> DeflectionTriple:
     if scenario.kind is not ScenarioKind.TWO_QUBIT:
-        return discrete_means(scenario_intensity_image(scenario, delta_mm, grid))
-    prep = waveplate_hwp(scenario.prep_angle_deg)
+        return discrete_means(_train_image(scenario, delta_mm, prepared))
+    # Both photons leave the same preparation; A takes the X coupling and
+    # the second plate, B the Y coupling, and the joint mean factorizes.
+    first = apply_conditional_shift(prepared, delta_mm, Axis.X)
     mid = waveplate_hwp(scenario.mid_angle_deg)
-    first = apply_conditional_shift(
-        apply_polarization_unitary(init_gaussian(grid, scenario.sigma_mm, HORIZONTAL), prep),
-        delta_mm,
-        Axis.X,
-    )
     a_triple = discrete_means(intensity(apply_polarization_unitary(first, mid)))
-    partner = apply_conditional_shift(
-        apply_polarization_unitary(init_gaussian(grid, scenario.sigma_mm, HORIZONTAL), prep),
-        delta_mm,
-        Axis.Y,
-    )
-    b_triple = discrete_means(intensity(partner))
+    b_triple = discrete_means(intensity(apply_conditional_shift(prepared, delta_mm, Axis.Y)))
     return DeflectionTriple(
         x_mm=a_triple.x_mm, y_mm=b_triple.y_mm, xy_mm2=a_triple.x_mm * b_triple.y_mm
     )
 
 
+def scenario_intensity_image(scenario: Scenario, delta_mm: float, grid: GridSpec) -> IntensityImage:
+    """Detector image of the single-beam trains (sequential or single)."""
+    if scenario.kind is ScenarioKind.TWO_QUBIT:
+        raise ValueError("the two-beam scenario has no single detector image")
+    return _train_image(scenario, delta_mm, _prepare_beam(scenario, grid))
+
+
+def grid_deflections(scenario: Scenario, delta_mm: float, grid: GridSpec) -> DeflectionTriple:
+    """Deflections read off the simulated optical train on the grid."""
+    return _train_deflections(scenario, delta_mm, _prepare_beam(scenario, grid))
+
+
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
-    """Run the sweep, ascending delta, one record per point."""
+    """Run the sweep, ascending delta, one record per point.
+
+    The grid beam is prepared once, at the first point, and shared by all.
+    """
     records = []
+    prepared = None
     for delta in np.linspace(spec.delta_start_mm, spec.delta_stop_mm, spec.steps):
         delta = float(delta)
         analytic = grid_triple = discrepancy = None
@@ -186,7 +198,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
             if Engine.ANALYTIC in spec.engines:
                 analytic = analytic_deflections(spec.scenario, delta)
             if Engine.GRID in spec.engines:
-                grid_triple = grid_deflections(spec.scenario, delta, spec.grid)
+                if prepared is None:
+                    prepared = _prepare_beam(spec.scenario, spec.grid)
+                grid_triple = _train_deflections(spec.scenario, delta, prepared)
         except SimulationError as exc:
             raise SweepEngineError(delta, str(exc)) from exc
         if analytic is not None and grid_triple is not None:

@@ -7,7 +7,10 @@ is the centered unitary DFT with synthesis kernel exp(-i eta x); a blazed
 grating in the lens focal plane multiplies the H plane by a linear phase
 exp(i delta eta) and realizes the polarization-conditioned displacement
 delta = SLM_MM_PER_UNIT * alpha once the relay returns the field upright.
-Norms are tracked against the position-space pixel area throughout.
+A conditional shift applies the same displacement directly: a 1-D DFT
+along the shift axis only, with the spectral phase in natural (unshifted)
+frequency order, so the centered DFT serves only the lens.  Norms are
+tracked against the position-space pixel area throughout.
 """
 
 from __future__ import annotations
@@ -160,11 +163,6 @@ def _centered_forward(plane: np.ndarray) -> np.ndarray:
     return out * np.sqrt(plane.size)
 
 
-def _centered_inverse(plane: np.ndarray) -> np.ndarray:
-    out = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(plane)))
-    return out / np.sqrt(plane.size)
-
-
 def fourier_lens(field: PolarizedField) -> PolarizedField:
     """One ideal lens: centered unitary DFT of both planes.
 
@@ -218,22 +216,31 @@ def apply_conditional_shift(
     """Displace the H plane by +delta along the axis via a spectral phase.
 
     Equivalent to a lens, a grating of matching strength, and the rest of
-    the relay; the V plane passes through untouched.
+    the relay; the V plane passes through untouched.  Only the shift axis
+    is transformed: a 1-D DFT, the phase exp(i delta eta) with eta in
+    natural frequency order (negated for y, whose rows run downwards), and
+    the inverse DFT.  The phases are those of momentum_coords, Nyquist bin
+    included, so this is the same operator as the centered 2-D relay.
     """
     if field.space is not Space.POSITION:
         raise WrongSpace("conditional shifts act on the position-space field")
     extent = field.grid.extent_x_mm if axis is Axis.X else field.grid.extent_y_mm
-    if abs(delta_mm) >= extent / 4.0:
+    if not abs(delta_mm) < extent / 4.0:
         raise ShiftTooLarge(
             f"|delta| = {abs(delta_mm):g} mm exceeds a quarter of the {extent:g} mm extent"
         )
     if delta_mm == 0.0:
         return field
-    spectrum = _centered_forward(field.h_plane)
-    spectrum = spectrum * _linear_phase(field.grid, delta_mm, axis)
+    side, dim = (field.grid.nx, 1) if axis is Axis.X else (field.grid.ny, 0)
+    # Integer wavenumbers in natural order times the momentum step.
+    eta = np.fft.fftfreq(side, 1.0 / side) * (2.0 * np.pi / (side * field.grid.pixel_mm))
+    if axis is Axis.Y:
+        eta = -eta  # rows run downwards
+    spectrum = np.fft.ifft(field.h_plane, axis=dim)
+    spectrum *= np.expand_dims(np.exp(1j * delta_mm * eta), 1 - dim)
     return PolarizedField(
         grid=field.grid,
-        h_plane=_centered_inverse(spectrum),
+        h_plane=np.fft.fft(spectrum, axis=dim),
         v_plane=field.v_plane,
         space=field.space,
     )
@@ -262,15 +269,19 @@ def intensity(field: PolarizedField) -> IntensityImage:
 
 
 def discrete_means(image: IntensityImage) -> DeflectionTriple:
-    """Intensity-weighted <x>, <y>, <x y> in mm from the grid center."""
-    total = image.values.sum()
+    """Intensity-weighted <x>, <y>, <x y> in mm from the grid center.
+
+    The single means come from the column and row marginals, the joint
+    mean from y @ I @ x; no full-size weighted product is formed.
+    """
+    values = image.values
+    total = values.sum()
     if total <= 0.0:
         raise EmptyImage("image carries no power")
     x, y = position_coords(image.grid)
-    weights = image.values / total
-    x_mean = float((weights * x[None, :]).sum())
-    y_mean = float((weights * y[:, None]).sum())
-    xy_mean = float((weights * (x[None, :] * y[:, None])).sum())
+    x_mean = float(values.sum(axis=0) @ x / total)
+    y_mean = float(y @ values.sum(axis=1) / total)
+    xy_mean = float(y @ values @ x / total)
     return DeflectionTriple(x_mm=x_mean, y_mm=y_mean, xy_mm2=xy_mean)
 
 

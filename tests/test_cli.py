@@ -4,7 +4,9 @@ Exit codes are a stable contract: 0 success, 2 usage, 3 undefined weak
 value, 4 engine failure, 5 verification failure.
 """
 
+import contextlib
 import importlib
+import io
 import os
 import shutil
 import struct
@@ -13,6 +15,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 import seqweak
 from seqweak.cli import entrypoint, main
@@ -258,6 +261,12 @@ def test_sweep_engine_failure_exit_4_names_delta(tmp_path, capsys):
     assert "delta = 0.3" in err
 
 
+def test_sweep_preparation_failure_exit_4_names_first_delta(tmp_path, capsys):
+    out = tmp_path / "coarse.csv"
+    assert main(["sweep", "--engine", "grid", "--sigma", "0.01mm", "--out", str(out)]) == 4
+    assert "engine failure at delta = 0 mm" in capsys.readouterr().err
+
+
 def test_image_alpha_sets_shift(tmp_path, capsys):
     out = tmp_path / "beam.pgm"
     raw = tmp_path / "beam.bin"
@@ -330,6 +339,74 @@ def test_image_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["image", "--delta", "0.1mm"]) == 2
     assert "--out" in capsys.readouterr().err
+
+
+NON_FINITE = st.sampled_from(["inf", "-inf", "nan", "NaN", "Infinity", "1e999"])
+
+
+def run_captured(argv):
+    """main(argv) with its own stdout/stderr buffers, safe to call per example."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    start=st.floats(0.0, 1.0),
+    width=st.floats(1e-3, 1.0),
+    steps=st.integers(2, 8),
+    sigma=st.floats(0.02, 1.0),
+)
+def test_finite_sweep_input_gives_finite_rows(tmp_path_factory, start, width, steps, sigma):
+    out = tmp_path_factory.mktemp("sweep") / "s.csv"
+    argv = ["sweep", "--delta-range", f"{start!r}:{start + width!r}:{steps}",
+            "--sigma", f"{sigma!r}mm", "--out", str(out)]
+    assert main(argv) == 0
+    _, rows = read_csv_rows(out)
+    assert len(rows) == steps
+    assert all(np.isfinite(float(v)) for row in rows for v in row[:4])
+
+
+@settings(max_examples=25, deadline=None)
+@given(delta=st.floats(-0.2, 0.2), unit=st.sampled_from(["mm", "um"]))
+def test_finite_image_input_gives_finite_means(tmp_path_factory, delta, unit):
+    out = tmp_path_factory.mktemp("image") / "i.pgm"
+    text = f"{delta!r}mm" if unit == "mm" else f"{delta * 1e3!r}um"
+    rc, stdout, _ = run_captured(["image", f"--delta={text}", "--grid-size", "64", "--out", str(out)])
+    assert rc == 0
+    means = stdout.split("means:")[1]
+    assert "nan" not in means and "inf" not in means
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bad=NON_FINITE,
+    where=st.sampled_from(
+        ["sweep-sigma", "sweep-pixel", "range-start", "range-stop", "image-delta", "image-sigma"]
+    ),
+)
+def test_non_finite_input_exits_2(tmp_path_factory, bad, where):
+    out = str(tmp_path_factory.mktemp("bad") / "x.out")
+    # The --flag=value form keeps argparse from reading "-inf..." as a flag.
+    argv = {
+        "sweep-sigma": ["sweep", f"--sigma={bad}mm"],
+        "sweep-pixel": ["sweep", "--engine", "grid", f"--pixel={bad}um"],
+        "range-start": ["sweep", f"--delta-range={bad}:0.5:5"],
+        "range-stop": ["sweep", f"--delta-range=0:{bad}:5"],
+        "image-delta": ["image", f"--delta={bad}mm"],
+        "image-sigma": ["image", "--delta", "0.1mm", f"--sigma={bad}mm"],
+    }[where]
+    rc, _, stderr = run_captured(argv + ["--out", out])
+    assert rc == 2
+    assert "finite" in stderr
+    assert not Path(out).exists()
+
+
+def test_image_nonpositive_sigma_exits_2(tmp_path, capsys):
+    assert main(["image", "--delta", "0.1mm", "--sigma", "0mm", "--out", str(tmp_path / "z.pgm")]) == 2
+    assert "sigma" in capsys.readouterr().err
 
 
 def test_verify_fast_all_pass(capsys):

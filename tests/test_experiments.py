@@ -1,10 +1,13 @@
 """Checks for the sweep harness, calibration helpers, and CSV export."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from seqweak.errors import NoInteriorExtremum, NoSignChange, SweepEngineError
+from seqweak import experiments
+from seqweak.errors import GridTooCoarse, NoInteriorExtremum, NoSignChange, SweepEngineError
 from seqweak.experiments import (
     CSV_HEADER,
     DEFAULT_SIGMA_MM,
@@ -24,7 +27,7 @@ from seqweak.experiments import (
     weak_limit_ratio,
     write_metadata,
 )
-from seqweak.grid import GridSpec
+from seqweak.grid import GridSpec, init_gaussian
 from seqweak.pointer import (
     anomaly_threshold,
     closed_form_sequential,
@@ -134,6 +137,56 @@ def test_engine_failure_carries_delta():
     with pytest.raises(SweepEngineError) as err:
         run_sweep(spec)
     assert err.value.delta_mm == pytest.approx(0.3)
+
+
+ALL_KINDS = (ScenarioKind.SEQUENTIAL, ScenarioKind.TWO_QUBIT, ScenarioKind.SINGLE)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_grid_sweep_matches_pointwise_deflections(kind):
+    scenario = Scenario(kind=kind, sigma_mm=0.12, prep_angle_deg=25.0, mid_angle_deg=-35.0)
+    spec = SweepSpec(scenario, 0.0, 0.5, 5, engines=frozenset({Engine.GRID}), grid=GRID)
+    records = run_sweep(spec)
+    assert [r.grid for r in records] == [grid_deflections(scenario, r.delta_mm, GRID) for r in records]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_grid_sweep_prepares_the_beam_once(kind, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return init_gaussian(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "init_gaussian", counting)
+    run_sweep(SweepSpec(Scenario(kind=kind), 0.0, 0.5, 6, engines=BOTH, grid=GRID))
+    assert len(calls) == 1
+
+
+def test_preparation_failure_carries_first_delta():
+    spec = sequential_spec(
+        scenario=Scenario(kind=ScenarioKind.SEQUENTIAL, sigma_mm=0.01),
+        delta_start_mm=0.1,
+        delta_stop_mm=0.3,
+        steps=3,
+        engines=frozenset({Engine.GRID}),
+        grid=GRID,
+    )
+    with pytest.raises(SweepEngineError) as err:
+        run_sweep(spec)
+    assert err.value.delta_mm == pytest.approx(0.1)
+    assert isinstance(err.value.__cause__, GridTooCoarse)
+
+
+def test_non_finite_lengths_rejected():
+    scenario = Scenario(kind=ScenarioKind.SEQUENTIAL)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            Scenario(kind=ScenarioKind.SEQUENTIAL, sigma_mm=bad)
+        with pytest.raises(ValueError):
+            SweepSpec(scenario=scenario, delta_stop_mm=bad)
+        with pytest.raises(ValueError):
+            SweepSpec(scenario=scenario, delta_start_mm=bad)
 
 
 def test_weak_limit_ratio():

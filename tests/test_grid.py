@@ -209,6 +209,47 @@ def test_conditional_shift_guards():
         apply_conditional_shift(fourier_lens(field), 0.1, Axis.X)
 
 
+def reference_shift(field, delta_mm, axis):
+    """The centered 2-D relay the 1-D shift replaced: unitary centered DFT,
+    phase exp(i delta eta) on momentum_coords, centered inverse DFT."""
+    n = field.h_plane.size
+    spectrum = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(field.h_plane))) * np.sqrt(n)
+    eta_x, eta_y = momentum_coords(field.grid)
+    if axis is Axis.X:
+        spectrum = spectrum * np.exp(1j * delta_mm * eta_x)[None, :]
+    else:
+        spectrum = spectrum * np.exp(1j * delta_mm * eta_y)[:, None]
+    return np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(spectrum))) / np.sqrt(n)
+
+
+@pytest.mark.parametrize("axis", [Axis.X, Axis.Y])
+@pytest.mark.parametrize("delta", [0.37, -0.21, 3 * 0.0135, -1e-3])
+def test_conditional_shift_matches_centered_relay(axis, delta):
+    # Non-square grid and white-noise planes: every frequency, the Nyquist
+    # bins included, carries power, and a swapped axis cannot pass.
+    grid = GridSpec(nx=256, ny=128, pixel_um=13.5)
+    rng = np.random.default_rng(20190)
+    shape = (grid.ny, grid.nx)
+    h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    field = PolarizedField(grid=grid, h_plane=h, v_plane=v, space=Space.POSITION)
+    out = apply_conditional_shift(field, delta, axis)
+    want = reference_shift(field, delta, axis)
+    assert np.abs(out.h_plane.real - want.real).max() <= 1e-13
+    assert np.abs(out.h_plane.imag - want.imag).max() <= 1e-13
+    assert np.array_equal(out.v_plane, field.v_plane)
+    assert out.space is Space.POSITION
+
+
+def test_conditional_shift_rejects_nan():
+    field = init_gaussian(GRID, SIGMA, HORIZONTAL)
+    for axis in (Axis.X, Axis.Y):
+        with pytest.raises(ShiftTooLarge):
+            apply_conditional_shift(field, float("nan"), axis)
+        with pytest.raises(ShiftTooLarge):
+            apply_conditional_shift(field, float("-inf"), axis)
+
+
 def test_polarization_unitary_on_grid():
     field = init_gaussian(GRID, SIGMA, HORIZONTAL)
     rotated = apply_polarization_unitary(field, waveplate_hwp(30.0))
@@ -223,6 +264,19 @@ def test_discrete_means_empty_image():
     zeros = IntensityImage(grid=GRID, values=np.zeros((GRID.ny, GRID.nx)))
     with pytest.raises(EmptyImage):
         discrete_means(zeros)
+
+
+def test_discrete_means_matches_weighted_products():
+    grid = GridSpec(nx=128, ny=64, pixel_um=13.5)
+    x, y = position_coords(grid)
+    rng = np.random.default_rng(3)
+    blob = np.exp(-((x[None, :] - 0.3) ** 2 + (y[:, None] + 0.2) ** 2) / 0.1)
+    values = rng.random((grid.ny, grid.nx)) * blob
+    weights = values / values.sum()
+    means = discrete_means(IntensityImage(grid=grid, values=values))
+    assert means.x_mm == pytest.approx((weights * x[None, :]).sum(), rel=1e-14)
+    assert means.y_mm == pytest.approx((weights * y[:, None]).sum(), rel=1e-14)
+    assert means.xy_mm2 == pytest.approx((weights * (x[None, :] * y[:, None])).sum(), rel=1e-14)
 
 
 def test_grid_train_matches_calculus():
