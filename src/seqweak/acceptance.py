@@ -11,7 +11,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import SimulationError
 from .experiments import (
@@ -36,7 +35,7 @@ from .grid import (
     init_gaussian,
     position_coords,
 )
-from .pointer import Axis, anomaly_threshold, closed_form_sequential
+from .pointer import Axis, anomaly_threshold, bisect, closed_form_sequential
 from .qubit import (
     HORIZONTAL,
     MINUS_SIXTY,
@@ -163,7 +162,7 @@ def check_extremum_consistency() -> CheckResult:
             SweepSpec(Scenario(ScenarioKind.SEQUENTIAL, sigma_mm=sigma), 0.0, anomaly_threshold(sigma), 31)
         )
         delta_min, _ = find_extremum(records, sigma)
-        t_root = brentq(lambda t: 3.0 * (1.0 - t) * np.exp(-t) - 1.0, 0.1, 0.9, xtol=1e-12)
+        t_root = bisect(lambda t: 3.0 * (1.0 - t) * np.exp(-t) - 1.0, 0.1, 0.9, xtol=1e-12)
         delta_root = float(np.sqrt(8.0 * t_root))
         t_min = delta_min**2 / 8.0
         at_default = delta_min * DEFAULT_SIGMA_MM

@@ -36,12 +36,12 @@ from .qubit import (
     VERTICAL,
     Observable,
     QubitState,
+    is_anomalous,
     sequential_weak_value,
     weak_value,
 )
 
 NAMED_STATES = {"H": HORIZONTAL, "V": VERTICAL, "a1": PLUS_SIXTY, "a2": MINUS_SIXTY}
-ANOMALY_MARGIN = 1e-12
 DEFAULT_DELTA_RANGE = "0:0.711:31"
 DEFAULT_GRID_SIDE = "256"
 DEFAULT_PIXEL = "13.5um"
@@ -74,9 +74,12 @@ def parse_length_mm(text: str, flag: str) -> float:
 
 def parse_complex(text: str, flag: str) -> complex:
     try:
-        return complex(text.strip().replace("i", "j"))
+        value = complex(text.strip().replace("i", "j"))
     except ValueError:
         raise UsageError(f"{flag} has a malformed complex component {text!r}") from None
+    if not np.isfinite(value):
+        raise UsageError(f"{flag} components must be finite, got {text!r}")
+    return value
 
 
 def parse_state(text: str, flag: str) -> QubitState:
@@ -187,13 +190,12 @@ def cmd_weak_value(args) -> int:
         observable = parse_observable(_require(args.a, "--a"), "--a")
         value = weak_value(pre, post, observable)
         lo, hi = observable.eigenvalues()
-        anomalous = value.real < lo - ANOMALY_MARGIN or value.real > hi + ANOMALY_MARGIN
     else:
         first = parse_observable(_require(args.first, "--first"), "--first")
         second = parse_observable(_require(args.second, "--second"), "--second")
         result = sequential_weak_value(pre, first, second)
-        value, (lo, hi), anomalous = result.value, result.interval, result.anomalous
-    verdict = "ANOMALOUS" if anomalous else "not anomalous"
+        value, (lo, hi) = result.value, result.interval
+    verdict = "ANOMALOUS" if is_anomalous(value, lo, hi) else "not anomalous"
     print(f"value = {format_complex(value)}  interval=[{_fmt(lo)},{_fmt(hi)}]  {verdict}")
     return 0
 

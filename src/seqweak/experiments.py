@@ -2,7 +2,9 @@
 
 A scenario fixes the optical train; a sweep runs it over a range of coupling
 strengths with one or both engines and exports the deflections as CSV plus a
-key=value metadata sidecar.  The default beam width 0.1116 mm is derived by
+key=value metadata sidecar.  Each scenario's train is written once, against
+an engine's plate, coupling and read-out; the calculus, the grid and the
+detector image all run it.  The default beam width 0.1116 mm is derived by
 inverting the 0.331 mm zero crossing of the joint deflection, not measured.
 """
 
@@ -14,14 +16,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import bisect
 
 from . import __version__
 from .errors import NoInteriorExtremum, NoSignChange, SimulationError, SweepEngineError
 from .grid import (
     GridSpec,
     IntensityImage,
-    PolarizedField,
     apply_conditional_shift,
     apply_polarization_unitary,
     discrete_means,
@@ -33,6 +33,7 @@ from .pointer import (
     DeflectionTriple,
     apply_coupling,
     apply_polarization,
+    bisect,
     closed_form_sequential,
     golden_section_minimize,
     initial_pointer_state,
@@ -112,95 +113,79 @@ class SweepRecord:
     xy_discrepancy_mm2: float | None
 
 
+def _run_train(scenario: Scenario, delta_mm: float, prepared, plate, couple, read):
+    """The scenario's train after the preparation plate, run with an engine's
+    plate(state, u), couple(state, delta, axis) and read(state).  Two-qubit:
+    photon A takes X and the second plate, photon B only Y; <x y> factorizes."""
+    after_x = couple(prepared, delta_mm, Axis.X)
+    if scenario.kind is ScenarioKind.SINGLE:
+        return read(after_x)
+    after_mid = plate(after_x, waveplate_hwp(scenario.mid_angle_deg))
+    sequential = scenario.kind is ScenarioKind.SEQUENTIAL
+    after_y = read(couple(after_mid if sequential else prepared, delta_mm, Axis.Y))
+    if sequential:
+        return after_y
+    x_mm = read(after_mid).x_mm
+    return DeflectionTriple(x_mm=x_mm, y_mm=after_y.y_mm, xy_mm2=x_mm * after_y.y_mm)
+
+
+def _calculus(scenario: Scenario) -> tuple:
+    """The calculus as (prepared pointer, plate, couple, read)."""
+    prep = waveplate_hwp(scenario.prep_angle_deg)
+    return (
+        apply_polarization(initial_pointer_state(HORIZONTAL), prep),
+        apply_polarization,
+        lambda state, delta, axis: apply_coupling(state, axis, delta),
+        lambda state: moments(state, scenario.sigma_mm),
+    )
+
+
+def _grid(scenario: Scenario, grid: GridSpec) -> tuple:
+    """The grid engine as (prepared beam, plate, couple, read)."""
+    prep = waveplate_hwp(scenario.prep_angle_deg)
+    return (
+        apply_polarization_unitary(init_gaussian(grid, scenario.sigma_mm, HORIZONTAL), prep),
+        apply_polarization_unitary,
+        apply_conditional_shift,
+        lambda field: discrete_means(intensity(field)),
+    )
+
+
 def analytic_deflections(scenario: Scenario, delta_mm: float) -> DeflectionTriple:
     """Exact deflections from the Gaussian calculus for any plate angles."""
-    prep = waveplate_hwp(scenario.prep_angle_deg)
-    mid = waveplate_hwp(scenario.mid_angle_deg)
-    first = apply_coupling(
-        apply_polarization(initial_pointer_state(HORIZONTAL), prep), Axis.X, delta_mm
-    )
-    if scenario.kind is ScenarioKind.SINGLE:
-        return moments(first, scenario.sigma_mm)
-    if scenario.kind is ScenarioKind.SEQUENTIAL:
-        chained = apply_coupling(apply_polarization(first, mid), Axis.Y, delta_mm)
-        return moments(chained, scenario.sigma_mm)
-    # Two separate photons: A takes the X coupling and the second plate,
-    # B takes the Y coupling; the joint mean factorizes.
-    a_triple = moments(apply_polarization(first, mid), scenario.sigma_mm)
-    partner = apply_coupling(
-        apply_polarization(initial_pointer_state(HORIZONTAL), prep), Axis.Y, delta_mm
-    )
-    b_triple = moments(partner, scenario.sigma_mm)
-    return DeflectionTriple(
-        x_mm=a_triple.x_mm, y_mm=b_triple.y_mm, xy_mm2=a_triple.x_mm * b_triple.y_mm
-    )
+    return _run_train(scenario, delta_mm, *_calculus(scenario))
 
 
-def _prepare_beam(scenario: Scenario, grid: GridSpec) -> PolarizedField:
-    """The coupling-independent start of every grid train: the Gaussian
-    beam after the preparation plate."""
-    return apply_polarization_unitary(
-        init_gaussian(grid, scenario.sigma_mm, HORIZONTAL),
-        waveplate_hwp(scenario.prep_angle_deg),
-    )
-
-
-def _train_image(scenario: Scenario, delta_mm: float, prepared: PolarizedField) -> IntensityImage:
-    field = apply_conditional_shift(prepared, delta_mm, Axis.X)
-    if scenario.kind is ScenarioKind.SEQUENTIAL:
-        field = apply_conditional_shift(
-            apply_polarization_unitary(field, waveplate_hwp(scenario.mid_angle_deg)),
-            delta_mm,
-            Axis.Y,
-        )
-    return intensity(field)
-
-
-def _train_deflections(
-    scenario: Scenario, delta_mm: float, prepared: PolarizedField
-) -> DeflectionTriple:
-    if scenario.kind is not ScenarioKind.TWO_QUBIT:
-        return discrete_means(_train_image(scenario, delta_mm, prepared))
-    # Both photons leave the same preparation; A takes the X coupling and
-    # the second plate, B the Y coupling, and the joint mean factorizes.
-    first = apply_conditional_shift(prepared, delta_mm, Axis.X)
-    mid = waveplate_hwp(scenario.mid_angle_deg)
-    a_triple = discrete_means(intensity(apply_polarization_unitary(first, mid)))
-    b_triple = discrete_means(intensity(apply_conditional_shift(prepared, delta_mm, Axis.Y)))
-    return DeflectionTriple(
-        x_mm=a_triple.x_mm, y_mm=b_triple.y_mm, xy_mm2=a_triple.x_mm * b_triple.y_mm
-    )
+def grid_deflections(scenario: Scenario, delta_mm: float, grid: GridSpec) -> DeflectionTriple:
+    """Deflections read off the simulated optical train on the grid."""
+    return _run_train(scenario, delta_mm, *_grid(scenario, grid))
 
 
 def scenario_intensity_image(scenario: Scenario, delta_mm: float, grid: GridSpec) -> IntensityImage:
     """Detector image of the single-beam trains (sequential or single)."""
     if scenario.kind is ScenarioKind.TWO_QUBIT:
         raise ValueError("the two-beam scenario has no single detector image")
-    return _train_image(scenario, delta_mm, _prepare_beam(scenario, grid))
-
-
-def grid_deflections(scenario: Scenario, delta_mm: float, grid: GridSpec) -> DeflectionTriple:
-    """Deflections read off the simulated optical train on the grid."""
-    return _train_deflections(scenario, delta_mm, _prepare_beam(scenario, grid))
+    return _run_train(scenario, delta_mm, *_grid(scenario, grid)[:3], intensity)
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Run the sweep, ascending delta, one record per point.
 
-    The grid beam is prepared once, at the first point, and shared by all.
+    Each engine's state after the preparation plate is built once and shared by all.
     """
     records = []
-    prepared = None
+    calculus = _calculus(spec.scenario) if Engine.ANALYTIC in spec.engines else None
+    grid = None
     for delta in np.linspace(spec.delta_start_mm, spec.delta_stop_mm, spec.steps):
         delta = float(delta)
         analytic = grid_triple = discrepancy = None
         try:
-            if Engine.ANALYTIC in spec.engines:
-                analytic = analytic_deflections(spec.scenario, delta)
+            if calculus is not None:
+                analytic = _run_train(spec.scenario, delta, *calculus)
             if Engine.GRID in spec.engines:
-                if prepared is None:
-                    prepared = _prepare_beam(spec.scenario, spec.grid)
-                grid_triple = _train_deflections(spec.scenario, delta, prepared)
+                if grid is None:
+                    grid = _grid(spec.scenario, spec.grid)
+                grid_triple = _run_train(spec.scenario, delta, *grid)
         except SimulationError as exc:
             raise SweepEngineError(delta, str(exc)) from exc
         if analytic is not None and grid_triple is not None:

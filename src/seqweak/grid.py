@@ -26,11 +26,10 @@ from .errors import (
     EmptyImage,
     GridTooCoarse,
     GridTooSmall,
-    NonUnitary,
     ShiftTooLarge,
     WrongSpace,
 )
-from .pointer import Axis, DeflectionTriple, UNITARITY_TOL
+from .pointer import Axis, DeflectionTriple, checked_unitary
 from .qubit import QubitState
 
 SLM_MM_PER_UNIT = 0.0237
@@ -130,8 +129,7 @@ def momentum_coords(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def field_norm(field: PolarizedField) -> float:
     """Total power against the position-space pixel area."""
-    density = np.abs(field.h_plane) ** 2 + np.abs(field.v_plane) ** 2
-    return float(density.sum() * field.grid.pixel_area_mm2)
+    return float(intensity(field).values.sum() * field.grid.pixel_area_mm2)
 
 
 def init_gaussian(grid: GridSpec, sigma_mm: float, pol: QubitState) -> PolarizedField:
@@ -248,12 +246,7 @@ def apply_conditional_shift(
 
 def apply_polarization_unitary(field: PolarizedField, u) -> PolarizedField:
     """Mix the H and V planes with a 2x2 unitary."""
-    m = np.asarray(u, dtype=complex)
-    if m.shape != (2, 2):
-        raise NonUnitary(f"polarization unitary must be 2x2, got shape {m.shape}")
-    defect = np.abs(m.conj().T @ m - np.eye(2)).max()
-    if defect > UNITARITY_TOL:
-        raise NonUnitary(f"matrix deviates from unitarity by {defect:g}")
+    m = checked_unitary(u)
     return PolarizedField(
         grid=field.grid,
         h_plane=m[0, 0] * field.h_plane + m[0, 1] * field.v_plane,

@@ -42,17 +42,6 @@ class Axis(enum.Enum):
 
 
 @dataclass(frozen=True)
-class GaussianPointerSpec:
-    """Transverse beam width; documents the amplitude convention above."""
-
-    sigma_mm: float
-
-    def __post_init__(self):
-        if not self.sigma_mm > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma_mm!r}")
-
-
-@dataclass(frozen=True)
 class PointerTerm:
     """One shifted Gaussian component with a polarization label."""
 
@@ -124,16 +113,22 @@ def apply_coupling(
     return GaussianSuperposition(terms=tuple(moved))
 
 
-def apply_polarization(
-    state: GaussianSuperposition, u: np.ndarray
-) -> GaussianSuperposition:
-    """Apply a 2x2 polarization unitary, merging terms with matching shifts."""
+def checked_unitary(u) -> np.ndarray:
+    """The complex matrix of a 2x2 polarization unitary; NonUnitary otherwise."""
     m = np.asarray(u, dtype=complex)
     if m.shape != (2, 2):
         raise NonUnitary(f"polarization unitary must be 2x2, got shape {m.shape}")
     defect = np.abs(m.conj().T @ m - np.eye(2)).max()
-    if defect > UNITARITY_TOL:
+    if not defect <= UNITARITY_TOL:
         raise NonUnitary(f"matrix deviates from unitarity by {defect:g}")
+    return m
+
+
+def apply_polarization(
+    state: GaussianSuperposition, u: np.ndarray
+) -> GaussianSuperposition:
+    """Apply a 2x2 polarization unitary, merging terms with matching shifts."""
+    m = checked_unitary(u)
 
     merged: list[PointerTerm] = []
 
@@ -257,6 +252,30 @@ def golden_section_minimize(f, lo: float, hi: float, tol: float = 1e-9) -> float
             d = lo + invphi * (hi - lo)
             fd = f(d)
     return 0.5 * (lo + hi)
+
+
+def bisect(f, a: float, b: float, xtol: float, maxiter: int = 100) -> float:
+    """Root of f in [a, b] by bisection, step for step as scipy.optimize.bisect:
+    the half-step stops below xtol + 4 eps |x|, and an interval whose ends
+    share a sign raises scipy's ValueError."""
+    fa, fb = f(a), f(b)
+    if fa * fb > 0.0:
+        raise ValueError("f(a) and f(b) must have different signs")
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    rtol = 4.0 * np.finfo(float).eps
+    dm = b - a
+    for _ in range(maxiter):
+        dm *= 0.5
+        xm = a + dm
+        fm = f(xm)
+        if fm * fa >= 0.0:
+            a = xm
+        if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
+            return xm
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def max_reversal_delta(sigma: float, tol: float = 1e-9) -> float:

@@ -33,7 +33,7 @@ class QubitState:
         object.__setattr__(self, "amp_h", complex(self.amp_h))
         object.__setattr__(self, "amp_v", complex(self.amp_v))
         total = abs(self.amp_h) ** 2 + abs(self.amp_v) ** 2
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise ValueError(f"state must be normalized, got |psi|^2 = {total!r}")
 
     def vector(self) -> np.ndarray:
@@ -50,7 +50,7 @@ class Observable:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"observable must be 2x2, got shape {m.shape}")
-        if not np.allclose(m, m.conj().T, rtol=0.0, atol=HERMITICITY_TOL):
+        if not np.abs(m - m.conj().T).max() <= HERMITICITY_TOL:
             raise ValueError("observable must be Hermitian")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -143,6 +143,11 @@ def expectation(pre: QubitState, observable: Observable) -> complex:
     return complex(np.vdot(vec, observable.matrix @ vec))
 
 
+def is_anomalous(value: complex, lo: float, hi: float) -> bool:
+    """Whether the real part of a reading leaves its classical interval [lo, hi]."""
+    return value.real < lo - ANOMALY_MARGIN or value.real > hi + ANOMALY_MARGIN
+
+
 def product_eigen_range(first: Observable, second: Observable) -> tuple[float, float]:
     """Extreme products of one eigenvalue from each observable."""
     products = [x * y for x in first.eigenvalues() for y in second.eigenvalues()]
@@ -161,8 +166,7 @@ def sequential_weak_value(
     vec = pre.vector()
     value = complex(np.vdot(vec, second.matrix @ (first.matrix @ vec)))
     lo, hi = product_eigen_range(first, second)
-    anomalous = value.real < lo - ANOMALY_MARGIN or value.real > hi + ANOMALY_MARGIN
-    return WeakValueResult(value=value, interval=(lo, hi), anomalous=anomalous)
+    return WeakValueResult(value=value, interval=(lo, hi), anomalous=is_anomalous(value, lo, hi))
 
 
 def postselected_decomposition(
@@ -182,8 +186,5 @@ def postselected_decomposition(
         if abs(amp) <= ORTHOGONALITY_TOL:
             terms.append(DecompositionTerm(probability=0.0, weak_value=None))
             continue
-        num = np.vdot(post.vector(), observable.matrix @ pre.vector())
-        terms.append(
-            DecompositionTerm(probability=abs(amp) ** 2, weak_value=complex(num / amp))
-        )
+        terms.append(DecompositionTerm(abs(amp) ** 2, weak_value(pre, post, observable)))
     return terms

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import seqweak
 from seqweak.cli import entrypoint, main
@@ -344,6 +344,15 @@ def test_image_usage_errors(tmp_path, capsys):
 NON_FINITE = st.sampled_from(["inf", "-inf", "nan", "NaN", "Infinity", "1e999"])
 
 
+def checkout_env():
+    """The environment with the imported package's source root first on PYTHONPATH,
+    so a fresh interpreter runs the code under test, installed or not."""
+    env = dict(os.environ)
+    source_root = str(Path(seqweak.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def run_captured(argv):
     """main(argv) with its own stdout/stderr buffers, safe to call per example."""
     out, err = io.StringIO(), io.StringIO()
@@ -380,11 +389,15 @@ def test_finite_image_input_gives_finite_means(tmp_path_factory, delta, unit):
     assert "nan" not in means and "inf" not in means
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
+# 1e999 is a well-formed number that parses to an infinite float.
+@example(bad="1e999", where="wv-a")
+@example(bad="1e999", where="wv-pre")
 @given(
     bad=NON_FINITE,
     where=st.sampled_from(
-        ["sweep-sigma", "sweep-pixel", "range-start", "range-stop", "image-delta", "image-sigma"]
+        ["sweep-sigma", "sweep-pixel", "range-start", "range-stop", "image-delta", "image-sigma",
+         "wv-pre", "wv-post", "wv-a", "wv-first", "wv-second"]
     ),
 )
 def test_non_finite_input_exits_2(tmp_path_factory, bad, where):
@@ -397,11 +410,36 @@ def test_non_finite_input_exits_2(tmp_path_factory, bad, where):
         "range-stop": ["sweep", f"--delta-range=0:{bad}:5"],
         "image-delta": ["image", f"--delta={bad}mm"],
         "image-sigma": ["image", "--delta", "0.1mm", f"--sigma={bad}mm"],
+        "wv-pre": ["weak-value", f"--pre={bad},1", "--first", "proj:H", "--second", "proj:V"],
+        "wv-post": ["weak-value", "--pre", "a1", f"--post={bad},1", "--a", "proj:H"],
+        "wv-a": ["weak-value", "--pre", "a1", "--post", "H", f"--a={bad},0,0,1"],
+        "wv-first": ["weak-value", "--pre", "a1", f"--first=proj:{bad},1", "--second", "proj:H"],
+        "wv-second": ["weak-value", "--pre", "a1", "--first", "proj:H", f"--second=1,0,0,{bad}"],
     }[where]
+    if where.startswith("wv-"):
+        rc, stdout, stderr = run_captured(argv)
+        flag = "--" + where.removeprefix("wv-")
+        assert (rc, stdout) == (2, "")
+        assert flag in stderr
+        # "inf" spellings hold an "i", which the complex syntax reads as the
+        # imaginary unit, so they fail to parse before the finiteness check.
+        assert "finite" in stderr or "malformed" in stderr
+        return
     rc, _, stderr = run_captured(argv + ["--out", out])
     assert rc == 2
     assert "finite" in stderr
     assert not Path(out).exists()
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test oracle only; the package must not pull it in at runtime.
+    env = checkout_env()
+    probe = "import sys, seqweak.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_image_nonpositive_sigma_exits_2(tmp_path, capsys):
@@ -506,9 +544,7 @@ def test_console_script_installed():
     assert getattr(importlib.import_module(module), attr) is entrypoint
 
     # Run the code under test in a fresh interpreter, installed or not.
-    env = dict(os.environ)
-    source_root = str(Path(seqweak.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    env = checkout_env()
     commands = [[sys.executable, "-m", "seqweak"]]
     wrapper = shutil.which("seqweak")
     if wrapper is not None:

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from test_grid import run_grid_chain
+from test_pointer import run_chain
 
 from seqweak import experiments
 from seqweak.errors import GridTooCoarse, NoInteriorExtremum, NoSignChange, SweepEngineError
@@ -24,16 +26,21 @@ from seqweak.experiments import (
     infer_sigma_from_threshold,
     parse_csv,
     run_sweep,
+    scenario_intensity_image,
     weak_limit_ratio,
     write_metadata,
 )
-from seqweak.grid import GridSpec, init_gaussian
+from seqweak.grid import GridSpec, discrete_means, init_gaussian, intensity
 from seqweak.pointer import (
+    Axis,
+    DeflectionTriple,
     anomaly_threshold,
     closed_form_sequential,
     closed_form_single_coupling,
     closed_form_two_qubit,
+    initial_pointer_state,
     max_reversal_delta,
+    moments,
 )
 
 GRID = GridSpec(256, 256, 13.5)
@@ -142,12 +149,54 @@ def test_engine_failure_carries_delta():
 ALL_KINDS = (ScenarioKind.SEQUENTIAL, ScenarioKind.TWO_QUBIT, ScenarioKind.SINGLE)
 
 
+def hand_written_photons(kind, prep_deg, mid_deg):
+    """The elements each detected photon meets, in order, per scenario."""
+    return {
+        ScenarioKind.SEQUENTIAL: [(prep_deg, Axis.X, mid_deg, Axis.Y)],
+        ScenarioKind.SINGLE: [(prep_deg, Axis.X)],
+        ScenarioKind.TWO_QUBIT: [(prep_deg, Axis.X, mid_deg), (prep_deg, Axis.Y)],
+    }[kind]
+
+
+def joint_reading(triples):
+    """One photon's triple, or photon A's <x> and photon B's <y> and their product."""
+    if len(triples) == 1:
+        return triples[0]
+    a, b = triples
+    return DeflectionTriple(x_mm=a.x_mm, y_mm=b.y_mm, xy_mm2=a.x_mm * b.y_mm)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("prep_deg, mid_deg", [(30.0, -30.0), (25.0, -35.0)])
+@pytest.mark.parametrize("delta", [0.0, 0.12, 0.331])
+def test_train_equals_hand_written_chain(kind, prep_deg, mid_deg, delta):
+    scenario = Scenario(kind=kind, prep_angle_deg=prep_deg, mid_angle_deg=mid_deg)
+    photons = hand_written_photons(kind, prep_deg, mid_deg)
+    pointers = [run_chain(delta, *elements) for elements in photons]
+    want = joint_reading([moments(pointer, scenario.sigma_mm) for pointer in pointers])
+    assert analytic_deflections(scenario, delta) == want
+
+    fields = [run_grid_chain(GRID, scenario.sigma_mm, delta, *elements) for elements in photons]
+    want = joint_reading([discrete_means(intensity(field)) for field in fields])
+    assert grid_deflections(scenario, delta, GRID) == want
+    if kind is not ScenarioKind.TWO_QUBIT:
+        image = scenario_intensity_image(scenario, delta, GRID)
+        assert np.array_equal(image.values, intensity(fields[0]).values)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_grid_sweep_matches_pointwise_deflections(kind):
     scenario = Scenario(kind=kind, sigma_mm=0.12, prep_angle_deg=25.0, mid_angle_deg=-35.0)
     spec = SweepSpec(scenario, 0.0, 0.5, 5, engines=frozenset({Engine.GRID}), grid=GRID)
     records = run_sweep(spec)
     assert [r.grid for r in records] == [grid_deflections(scenario, r.delta_mm, GRID) for r in records]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_analytic_sweep_matches_pointwise_deflections(kind):
+    scenario = Scenario(kind=kind, sigma_mm=0.12, prep_angle_deg=25.0, mid_angle_deg=-35.0)
+    records = run_sweep(SweepSpec(scenario, 0.0, 0.5, 5))
+    assert [r.analytic for r in records] == [analytic_deflections(scenario, r.delta_mm) for r in records]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -160,6 +209,19 @@ def test_grid_sweep_prepares_the_beam_once(kind, monkeypatch):
 
     monkeypatch.setattr(experiments, "init_gaussian", counting)
     run_sweep(SweepSpec(Scenario(kind=kind), 0.0, 0.5, 6, engines=BOTH, grid=GRID))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_analytic_sweep_prepares_the_pointer_once(kind, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return initial_pointer_state(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "initial_pointer_state", counting)
+    run_sweep(SweepSpec(Scenario(kind=kind), 0.0, 0.5, 6))
     assert len(calls) == 1
 
 

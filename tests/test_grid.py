@@ -53,13 +53,20 @@ def parse_pgm(data):
     return np.frombuffer(payload, dtype=">u2").reshape(height, width)
 
 
-def run_grid_train(grid, sigma, delta):
+def run_grid_chain(grid, sigma, delta, *elements):
+    """Half-wave plates (angles in degrees) and conditional shifts by delta
+    (axes), in order, on a horizontally polarized Gaussian beam."""
     field = init_gaussian(grid, sigma, HORIZONTAL)
-    field = apply_polarization_unitary(field, waveplate_hwp(30.0))
-    field = apply_conditional_shift(field, delta, Axis.X)
-    field = apply_polarization_unitary(field, waveplate_hwp(-30.0))
-    field = apply_conditional_shift(field, delta, Axis.Y)
+    for element in elements:
+        if isinstance(element, Axis):
+            field = apply_conditional_shift(field, delta, element)
+        else:
+            field = apply_polarization_unitary(field, waveplate_hwp(element))
     return field
+
+
+def run_grid_train(grid, sigma, delta):
+    return run_grid_chain(grid, sigma, delta, 30.0, Axis.X, -30.0, Axis.Y)
 
 
 def test_grid_spec_validation():

@@ -3,25 +3,26 @@
 Oracles used here, all independent of the library internals:
   - trapezoid quadrature of the Gaussian kernels for overlaps and moments,
   - a brute-force term-bookkeeping expansion of the two-coupling chain,
-  - scipy root finding for the threshold and stationarity conditions.
+  - scipy root finding for the threshold and stationarity conditions, and
+    scipy's bisection for the package's own.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import bisect as scipy_bisect, brentq
 
 from seqweak.errors import NonUnitary
 from seqweak.pointer import (
     Axis,
     DeflectionTriple,
-    GaussianPointerSpec,
     GaussianSuperposition,
     Pol,
     PointerTerm,
     anomaly_threshold,
     apply_coupling,
     apply_polarization,
+    bisect,
     closed_form_sequential,
     closed_form_single_coupling,
     closed_form_two_qubit,
@@ -104,19 +105,20 @@ def quad_moments(terms, sigma, delta):
     )
 
 
-def run_sequential_chain(delta, prep_deg=30.0, mid_deg=-30.0):
+def run_chain(delta, *elements):
+    """Half-wave plates (angles in degrees) and couplings of strength delta
+    (axes), in order, on the horizontally polarized pointer."""
     state = initial_pointer_state(HORIZONTAL)
-    state = apply_polarization(state, waveplate_hwp(prep_deg))
-    state = apply_coupling(state, Axis.X, delta)
-    state = apply_polarization(state, waveplate_hwp(mid_deg))
-    state = apply_coupling(state, Axis.Y, delta)
+    for element in elements:
+        if isinstance(element, Axis):
+            state = apply_coupling(state, element, delta)
+        else:
+            state = apply_polarization(state, waveplate_hwp(element))
     return state
 
 
-def test_pointer_spec_rejects_nonpositive_width():
-    with pytest.raises(ValueError):
-        GaussianPointerSpec(sigma_mm=0.0)
-    assert GaussianPointerSpec(sigma_mm=0.1116).sigma_mm == 0.1116
+def run_sequential_chain(delta, prep_deg=30.0, mid_deg=-30.0):
+    return run_chain(delta, prep_deg, Axis.X, mid_deg, Axis.Y)
 
 
 def test_overlap_against_quadrature():
@@ -217,8 +219,9 @@ def test_apply_coupling_requires_nonnegative_shift():
 
 def test_apply_polarization_rejects_nonunitary():
     state = initial_pointer_state(HORIZONTAL)
-    with pytest.raises(NonUnitary):
-        apply_polarization(state, np.array([[1.0, 0.0], [0.0, 0.5]]))
+    for bad in (np.array([[1.0, 0.0], [0.0, 0.5]]), np.full((2, 2), np.nan), np.eye(3)):
+        with pytest.raises(NonUnitary):
+            apply_polarization(state, bad)
 
 
 def test_two_qubit_closed_form():
@@ -307,3 +310,31 @@ def test_term_tuple_shape():
     triple = moments(state, 0.2)
     assert isinstance(triple, DeflectionTriple)
     assert triple.x_mm == pytest.approx(0.0, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sigma=sigmas,
+    lo_frac=st.floats(0.2, 0.999),
+    hi_frac=st.floats(1.001, 3.0),
+    xtol_exp=st.floats(-14.0, -6.0),
+)
+def test_bisect_matches_scipy_bit_for_bit(sigma, lo_frac, hi_frac, xtol_exp):
+    star = anomaly_threshold(sigma)
+    xtol = 10.0**xtol_exp
+
+    def joint(d):
+        return closed_form_sequential(d, sigma).xy_mm2
+
+    got = bisect(joint, lo_frac * star, hi_frac * star, xtol=xtol)
+    assert got == scipy_bisect(joint, lo_frac * star, hi_frac * star, xtol=xtol)
+
+
+def test_bisect_endpoints_and_failures():
+    assert bisect(lambda x: x - 1.0, 1.0, 2.0, xtol=1e-9) == 1.0
+    assert bisect(lambda x: x - 2.0, 1.0, 2.0, xtol=1e-9) == 2.0
+    # The message is scipy's, word for word.
+    with pytest.raises(ValueError, match=r"^f\(a\) and f\(b\) must have different signs$"):
+        bisect(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-9)
+    with pytest.raises(RuntimeError):
+        bisect(lambda x: x - 1.3, 1.0, 2.0, xtol=1e-12, maxiter=3)

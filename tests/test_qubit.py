@@ -19,6 +19,7 @@ from seqweak.qubit import (
     apply_unitary,
     expectation,
     inner,
+    is_anomalous,
     linear_polarization,
     postselected_decomposition,
     product_eigen_range,
@@ -74,11 +75,28 @@ def brute_weak_value(pre, post, matrix):
 def test_state_requires_normalization():
     with pytest.raises(ValueError):
         QubitState(1.0, 1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            QubitState(bad, 0.0)
 
 
 def test_observable_requires_hermitian():
     with pytest.raises(ValueError):
         Observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+# inf - inf in the Hermiticity residual warns before it is rejected.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
+def test_observable_rejects_non_finite_entries(bad, entry):
+    # Equal infinities must not pass as a Hermitian residual of zero.
+    m = np.eye(2, dtype=complex)
+    m[entry] = bad
+    if entry == (0, 1):
+        m[1, 0] = bad
+    with pytest.raises(ValueError):
+        Observable(m)
 
 
 def test_named_states():
@@ -246,3 +264,10 @@ def test_decomposition_averages_to_expectation(pre, obs, u):
 @given(states(), states())
 def test_inner_is_conjugate_symmetric(a, b):
     assert inner(a, b) == pytest.approx(np.conj(inner(b, a)), abs=1e-12)
+
+
+def test_anomaly_verdict_margin():
+    assert is_anomalous(-0.125 + 0j, 0.0, 1.0)
+    assert is_anomalous(1.0 + 1e-9, 0.0, 1.0)
+    assert not is_anomalous(1.0 + 1e-13, 0.0, 1.0)
+    assert not is_anomalous(-1e-13 + 5j, 0.0, 1.0)
