@@ -171,17 +171,16 @@ def scenario_intensity_image(scenario: Scenario, delta_mm: float, grid: GridSpec
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Run the sweep, ascending delta, one record per point.
 
-    Each engine's state after the preparation plate is built once and shared by all.
+    The grid beam is prepared once, at the first point, and shared by all.
     """
     records = []
-    calculus = _calculus(spec.scenario) if Engine.ANALYTIC in spec.engines else None
     grid = None
     for delta in np.linspace(spec.delta_start_mm, spec.delta_stop_mm, spec.steps):
         delta = float(delta)
         analytic = grid_triple = discrepancy = None
         try:
-            if calculus is not None:
-                analytic = _run_train(spec.scenario, delta, *calculus)
+            if Engine.ANALYTIC in spec.engines:
+                analytic = analytic_deflections(spec.scenario, delta)
             if Engine.GRID in spec.engines:
                 if grid is None:
                     grid = _grid(spec.scenario, spec.grid)

@@ -254,10 +254,10 @@ def golden_section_minimize(f, lo: float, hi: float, tol: float = 1e-9) -> float
     return 0.5 * (lo + hi)
 
 
-def bisect(f, a: float, b: float, xtol: float, maxiter: int = 100) -> float:
+def bisect(f, a: float, b: float, xtol: float) -> float:
     """Root of f in [a, b] by bisection, step for step as scipy.optimize.bisect:
-    the half-step stops below xtol + 4 eps |x|, and an interval whose ends
-    share a sign raises scipy's ValueError."""
+    at most 100 halvings, the half-step stops below xtol + 4 eps |x|, and an
+    interval whose ends share a sign raises scipy's ValueError."""
     fa, fb = f(a), f(b)
     if fa * fb > 0.0:
         raise ValueError("f(a) and f(b) must have different signs")
@@ -267,7 +267,7 @@ def bisect(f, a: float, b: float, xtol: float, maxiter: int = 100) -> float:
         return b
     rtol = 4.0 * np.finfo(float).eps
     dm = b - a
-    for _ in range(maxiter):
+    for _ in range(100):
         dm *= 0.5
         xm = a + dm
         fm = f(xm)
@@ -275,7 +275,7 @@ def bisect(f, a: float, b: float, xtol: float, maxiter: int = 100) -> float:
             a = xm
         if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
             return xm
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError("Failed to converge after 100 iterations.")
 
 
 def max_reversal_delta(sigma: float, tol: float = 1e-9) -> float:

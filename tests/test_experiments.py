@@ -38,7 +38,6 @@ from seqweak.pointer import (
     closed_form_sequential,
     closed_form_single_coupling,
     closed_form_two_qubit,
-    initial_pointer_state,
     max_reversal_delta,
     moments,
 )
@@ -209,19 +208,6 @@ def test_grid_sweep_prepares_the_beam_once(kind, monkeypatch):
 
     monkeypatch.setattr(experiments, "init_gaussian", counting)
     run_sweep(SweepSpec(Scenario(kind=kind), 0.0, 0.5, 6, engines=BOTH, grid=GRID))
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_analytic_sweep_prepares_the_pointer_once(kind, monkeypatch):
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return initial_pointer_state(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "initial_pointer_state", counting)
-    run_sweep(SweepSpec(Scenario(kind=kind), 0.0, 0.5, 6))
     assert len(calls) == 1
 
 

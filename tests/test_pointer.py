@@ -336,5 +336,6 @@ def test_bisect_endpoints_and_failures():
     # The message is scipy's, word for word.
     with pytest.raises(ValueError, match=r"^f\(a\) and f\(b\) must have different signs$"):
         bisect(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-9)
+    # The root is 0, so the half-step never falls below xtol in 100 halvings.
     with pytest.raises(RuntimeError):
-        bisect(lambda x: x - 1.3, 1.0, 2.0, xtol=1e-12, maxiter=3)
+        bisect(lambda x: x, -1.0, 0.5, xtol=1e-300)
