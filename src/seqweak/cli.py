@@ -93,7 +93,13 @@ def parse_state(text: str, flag: str) -> QubitState:
             f"components, got {text!r}"
         )
     amp_h, amp_v = (parse_complex(part, flag) for part in parts)
-    norm = np.hypot(abs(amp_h), abs(amp_v))
+    try:
+        with np.errstate(over="ignore"):
+            norm = np.hypot(abs(amp_h), abs(amp_v))
+    except OverflowError:  # abs() of a component whose modulus exceeds the float range
+        norm = math.inf
+    if norm == math.inf:
+        raise UsageError(f"{flag} components are too large to normalize, got {text!r}")
     if norm <= 1e-12:
         raise UsageError(f"{flag} must be a nonzero state")
     return QubitState(amp_h / norm, amp_v / norm)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +39,10 @@ from .pointer import (
     initial_pointer_state,
     moments,
 )
-from .qubit import HORIZONTAL, waveplate_hwp
+from .qubit import HORIZONTAL, Observable, waveplate_hwp
 
 DEFAULT_SIGMA_MM = 0.1116
+MAX_SWEEP_STEPS = 100_000
 ZERO_CROSSING_TOL_MM = 1e-9
 EXTREMUM_TOL_MM = 1e-9
 
@@ -64,16 +65,24 @@ class Engine(enum.Enum):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Optical train selection plus beam width and waveplate angles."""
+    """Optical train selection plus beam width and waveplate angles.
+
+    The two half-wave plates are built once, here, and shared by every point
+    and engine that runs the scenario.
+    """
 
     kind: ScenarioKind
     sigma_mm: float = DEFAULT_SIGMA_MM
     prep_angle_deg: float = 30.0
     mid_angle_deg: float = -30.0
+    prep_plate: Observable = field(init=False, repr=False, compare=False)
+    mid_plate: Observable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.sigma_mm < math.inf:
             raise ValueError("sigma must be positive and finite")
+        object.__setattr__(self, "prep_plate", waveplate_hwp(self.prep_angle_deg))
+        object.__setattr__(self, "mid_plate", waveplate_hwp(self.mid_angle_deg))
 
 
 @dataclass(frozen=True)
@@ -91,6 +100,8 @@ class SweepSpec:
         object.__setattr__(self, "engines", frozenset(self.engines))
         if self.steps < 2:
             raise ValueError("a sweep needs at least two points")
+        if self.steps > MAX_SWEEP_STEPS:
+            raise ValueError(f"a sweep takes at most {MAX_SWEEP_STEPS} points, got {self.steps}")
         if not (math.isfinite(self.delta_start_mm) and math.isfinite(self.delta_stop_mm)):
             raise ValueError("sweep endpoints must be finite")
         if self.delta_start_mm < 0.0:
@@ -120,7 +131,7 @@ def _run_train(scenario: Scenario, delta_mm: float, prepared, plate, couple, rea
     after_x = couple(prepared, delta_mm, Axis.X)
     if scenario.kind is ScenarioKind.SINGLE:
         return read(after_x)
-    after_mid = plate(after_x, waveplate_hwp(scenario.mid_angle_deg))
+    after_mid = plate(after_x, scenario.mid_plate)
     sequential = scenario.kind is ScenarioKind.SEQUENTIAL
     after_y = read(couple(after_mid if sequential else prepared, delta_mm, Axis.Y))
     if sequential:
@@ -131,9 +142,8 @@ def _run_train(scenario: Scenario, delta_mm: float, prepared, plate, couple, rea
 
 def _calculus(scenario: Scenario) -> tuple:
     """The calculus as (prepared pointer, plate, couple, read)."""
-    prep = waveplate_hwp(scenario.prep_angle_deg)
     return (
-        apply_polarization(initial_pointer_state(HORIZONTAL), prep),
+        apply_polarization(initial_pointer_state(HORIZONTAL), scenario.prep_plate),
         apply_polarization,
         lambda state, delta, axis: apply_coupling(state, axis, delta),
         lambda state: moments(state, scenario.sigma_mm),
@@ -142,12 +152,12 @@ def _calculus(scenario: Scenario) -> tuple:
 
 def _grid(scenario: Scenario, grid: GridSpec) -> tuple:
     """The grid engine as (prepared beam, plate, couple, read)."""
-    prep = waveplate_hwp(scenario.prep_angle_deg)
+    beam = init_gaussian(grid, scenario.sigma_mm, HORIZONTAL)
     return (
-        apply_polarization_unitary(init_gaussian(grid, scenario.sigma_mm, HORIZONTAL), prep),
+        apply_polarization_unitary(beam, scenario.prep_plate),
         apply_polarization_unitary,
         apply_conditional_shift,
-        lambda field: discrete_means(intensity(field)),
+        lambda state: discrete_means(intensity(state)),
     )
 
 

@@ -246,11 +246,11 @@ def apply_conditional_shift(
 
 def apply_polarization_unitary(field: PolarizedField, u) -> PolarizedField:
     """Mix the H and V planes with a 2x2 unitary."""
-    m = checked_unitary(u)
+    a, b, c, d = checked_unitary(u)
     return PolarizedField(
         grid=field.grid,
-        h_plane=m[0, 0] * field.h_plane + m[0, 1] * field.v_plane,
-        v_plane=m[1, 0] * field.h_plane + m[1, 1] * field.v_plane,
+        h_plane=a * field.h_plane + b * field.v_plane,
+        v_plane=c * field.h_plane + d * field.v_plane,
         space=field.space,
     )
 

@@ -19,6 +19,7 @@ All lengths are millimetres.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,22 +114,36 @@ def apply_coupling(
     return GaussianSuperposition(terms=tuple(moved))
 
 
-def checked_unitary(u) -> np.ndarray:
-    """The complex matrix of a 2x2 polarization unitary; NonUnitary otherwise."""
+def checked_unitary(u) -> tuple[complex, complex, complex, complex]:
+    """The entries (a, b, c, d) of a 2x2 polarization unitary [[a, b], [c, d]]
+    as Python complex numbers; NonUnitary otherwise.
+
+    The check runs on Python scalars: U^H U - 1 has the three distinct
+    entries below (the fourth is the conjugate of the off-diagonal one), and
+    any NaN or infinite entry of U makes one of them fail the tolerance.
+    """
     m = np.asarray(u, dtype=complex)
     if m.shape != (2, 2):
         raise NonUnitary(f"polarization unitary must be 2x2, got shape {m.shape}")
-    defect = np.abs(m.conj().T @ m - np.eye(2)).max()
-    if not defect <= UNITARITY_TOL:
+    a, b, c, d = m.ravel().tolist()
+    gram = (
+        a.conjugate() * a + c.conjugate() * c - 1.0,
+        a.conjugate() * b + c.conjugate() * d,
+        b.conjugate() * b + d.conjugate() * d - 1.0,
+    )
+    if not all(math.hypot(g.real, g.imag) <= UNITARITY_TOL for g in gram):
+        with np.errstate(invalid="ignore", over="ignore"):
+            defect = np.abs(m.conj().T @ m - np.eye(2)).max()
         raise NonUnitary(f"matrix deviates from unitarity by {defect:g}")
-    return m
+    return a, b, c, d
 
 
 def apply_polarization(
     state: GaussianSuperposition, u: np.ndarray
 ) -> GaussianSuperposition:
     """Apply a 2x2 polarization unitary, merging terms with matching shifts."""
-    m = checked_unitary(u)
+    a, b, c, d = checked_unitary(u)
+    columns = ((a, c), (b, d))
 
     merged: list[PointerTerm] = []
 
@@ -144,32 +159,39 @@ def apply_polarization(
         merged.append(PointerTerm(coeff, sx, sy, pol))
 
     for term in state.terms:
-        col = term.pol.value
-        add(term.coeff * m[0, col], term.shift_x, term.shift_y, Pol.H)
-        add(term.coeff * m[1, col], term.shift_x, term.shift_y, Pol.V)
+        to_h, to_v = columns[term.pol.value]
+        add(term.coeff * to_h, term.shift_x, term.shift_y, Pol.H)
+        add(term.coeff * to_v, term.shift_x, term.shift_y, Pol.V)
 
     kept = tuple(t for t in merged if abs(t.coeff) > DROP_COEFF_TOL)
     return GaussianSuperposition(terms=kept)
 
 
 def _pairwise_sums(state: GaussianSuperposition, sigma: float):
-    norm = 0j
-    x_acc = 0j
-    y_acc = 0j
-    xy_acc = 0j
-    for bra in state.terms:
-        for ket in state.terms:
-            if bra.pol is not ket.pol:
-                continue
-            w = np.conj(bra.coeff) * ket.coeff
-            ox = overlap(bra.shift_x, ket.shift_x, sigma)
-            oy = overlap(bra.shift_y, ket.shift_y, sigma)
-            fx = first_moment(bra.shift_x, ket.shift_x, sigma)
-            fy = first_moment(bra.shift_y, ket.shift_y, sigma)
-            norm += w * ox * oy
-            x_acc += w * fx * oy
-            y_acc += w * ox * fy
-            xy_acc += w * fx * fy
+    """<psi|psi>, <x>, <y> and <x y> sums over same-polarization term pairs.
+
+    Each pair's two overlaps come from one np.exp call over all pairs; the
+    exponents are built in Python floats exactly as `overlap` builds them,
+    and the sums accumulate in Python complex in bra-major pair order.
+    """
+    if not sigma > 0.0:
+        raise ValueError("sigma must be positive")
+    width = 8.0 * sigma**2
+    pairs = [(bra, ket) for bra in state.terms for ket in state.terms if bra.pol is ket.pol]
+    exponents = []
+    for bra, ket in pairs:
+        exponents.append(-((bra.shift_x - ket.shift_x) ** 2) / width)
+        exponents.append(-((bra.shift_y - ket.shift_y) ** 2) / width)
+    damps = np.exp(exponents).tolist()
+    norm = x_acc = y_acc = xy_acc = 0j
+    for (bra, ket), ox, oy in zip(pairs, damps[0::2], damps[1::2]):
+        w = bra.coeff.conjugate() * ket.coeff
+        fx = 0.5 * (bra.shift_x + ket.shift_x) * ox
+        fy = 0.5 * (bra.shift_y + ket.shift_y) * oy
+        norm += w * ox * oy
+        x_acc += w * fx * oy
+        y_acc += w * ox * fy
+        xy_acc += w * fx * fy
     return norm, x_acc, y_acc, xy_acc
 
 
@@ -182,6 +204,9 @@ def superposition_norm(state: GaussianSuperposition, sigma: float) -> float:
 def moments(state: GaussianSuperposition, sigma: float) -> DeflectionTriple:
     """Exact <x>, <y>, <x y> of the pointer state at width sigma."""
     norm, x_acc, y_acc, xy_acc = _pairwise_sums(state, sigma)
+    # numpy's complex division, which rounds differently from Python's: with a
+    # complex128 divisor, complex128's reflected division runs first.
+    norm = np.complex128(norm)
     return DeflectionTriple(
         x_mm=float((x_acc / norm).real),
         y_mm=float((y_acc / norm).real),

@@ -10,6 +10,7 @@ by all pairwise eigenvalue products of the two observables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,11 @@ class Observable:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"observable must be 2x2, got shape {m.shape}")
-        if not np.abs(m - m.conj().T).max() <= HERMITICITY_TOL:
+        # m - m^H on Python scalars: its lower off-diagonal entry is minus the
+        # conjugate of the upper one, and a NaN or infinite entry fails.
+        a, b, c, d = m.ravel().tolist()
+        skew = (a - a.conjugate(), b - c.conjugate(), d - d.conjugate())
+        if not all(math.hypot(e.real, e.imag) <= HERMITICITY_TOL for e in skew):
             raise ValueError("observable must be Hermitian")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

@@ -12,13 +12,16 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import seqweak
 from seqweak.cli import entrypoint, main
+from seqweak.experiments import MAX_SWEEP_STEPS
 
 
 def read_csv_rows(path):
@@ -118,6 +121,20 @@ def test_weak_value_usage_errors(capsys):
     capsys.readouterr()
     assert main(["weak-value", "--first", "proj:H", "--second", "proj:H"]) == 2
     assert "--pre" in capsys.readouterr().err
+
+
+def test_weak_value_state_too_large_to_normalize_exit_2(capsys):
+    # Finite components whose norm overflows: np.hypot gives inf, and abs()
+    # of the second component's modulus overflows outright.
+    for pre in ("1e308,1.5e308", "1.5e308+1.5e308i,1"):
+        assert main(["weak-value", "--pre", pre, "--first", "proj:H", "--second", "proj:H"]) == 2
+        assert "--pre" in capsys.readouterr().err
+    args = ["weak-value", "--pre", "H", "--first", "proj:1e308,1.5e308", "--second", "proj:H"]
+    assert main(args) == 2
+    assert "--first" in capsys.readouterr().err
+    # Large components whose norm still fits are normalized as usual.
+    assert main(["weak-value", "--pre", "1e308,1e307", "--first", "proj:H", "--second", "proj:H"]) == 0
+    assert capsys.readouterr().out.startswith("value = 0.990099009901+0i")
 
 
 def test_sweep_analytic_csv(tmp_path, capsys):
@@ -243,6 +260,23 @@ def test_sweep_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["sweep"]) == 2
     assert "--out" in capsys.readouterr().err
+
+
+def test_sweep_steps_over_cap_exit_2_before_allocating(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("seqweak.cli.run_sweep", lambda spec: pytest.fail("the sweep ran"))
+    out = tmp_path / "huge.csv"
+    argv = ["sweep", "--delta-range", f"0:1:{MAX_SWEEP_STEPS + 1}", "--out", str(out)]
+    assert main(argv) == 2  # warm-up: first-call caches are not the sweep's
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert str(MAX_SWEEP_STEPS) in capsys.readouterr().err
+    assert peak < 2 * MAX_SWEEP_STEPS  # bytes; the sweep's Δ grid alone is 8 per point
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_engine_failure_exit_4_names_delta(tmp_path, capsys):

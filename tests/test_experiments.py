@@ -13,6 +13,7 @@ from seqweak.errors import GridTooCoarse, NoInteriorExtremum, NoSignChange, Swee
 from seqweak.experiments import (
     CSV_HEADER,
     DEFAULT_SIGMA_MM,
+    MAX_SWEEP_STEPS,
     Engine,
     Scenario,
     ScenarioKind,
@@ -65,6 +66,36 @@ def test_sweep_spec_validation():
         SweepSpec(scenario=scenario, engines=frozenset({Engine.GRID}))
     with pytest.raises(ValueError):
         Scenario(kind=ScenarioKind.SEQUENTIAL, sigma_mm=0.0)
+    assert SweepSpec(scenario=scenario, steps=MAX_SWEEP_STEPS).steps == MAX_SWEEP_STEPS
+    with pytest.raises(ValueError, match=str(MAX_SWEEP_STEPS)):
+        SweepSpec(scenario=scenario, steps=MAX_SWEEP_STEPS + 1)
+
+
+def test_scenario_builds_its_plates_once(monkeypatch):
+    built = []
+    real = experiments.waveplate_hwp
+    monkeypatch.setattr(experiments, "waveplate_hwp", lambda angle: built.append(angle) or real(angle))
+    grid = GridSpec(64, 64, 20.0)
+    for kind in ScenarioKind:
+        built.clear()
+        scenario = Scenario(kind, 0.2, 25.0, -0.0)
+        assert built == [25.0, -0.0]
+        analytic_deflections(scenario, 0.1)
+        grid_deflections(scenario, 0.1, grid)
+        run_sweep(SweepSpec(scenario, 0.0, 0.2, 3, engines=BOTH, grid=grid))
+        assert built == [25.0, -0.0]
+        # Each angle's own plate: -0.0 keeps its sign (sin(-0.0) is -0.0).
+        assert scenario.prep_plate.matrix.tobytes() == real(25.0).matrix.tobytes()
+        assert scenario.mid_plate.matrix.tobytes() == real(-0.0).matrix.tobytes()
+        assert scenario.mid_plate.matrix.tobytes() != real(0.0).matrix.tobytes()
+    # The plates follow from the angles: equality, hash and repr ignore them.
+    scenario = Scenario(ScenarioKind.SEQUENTIAL, 0.2, 25.0, -35.0)
+    twin = Scenario(ScenarioKind.SEQUENTIAL, 0.2, 25.0, -35.0)
+    assert scenario == twin and hash(scenario) == hash(twin)
+    assert repr(scenario) == (
+        "Scenario(kind=<ScenarioKind.SEQUENTIAL: 'sequential'>, sigma_mm=0.2, "
+        "prep_angle_deg=25.0, mid_angle_deg=-35.0)"
+    )
 
 
 def test_analytic_sweep_matches_closed_form():

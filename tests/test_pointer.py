@@ -4,8 +4,12 @@ Oracles used here, all independent of the library internals:
   - trapezoid quadrature of the Gaussian kernels for overlaps and moments,
   - a brute-force term-bookkeeping expansion of the two-coupling chain,
   - scipy root finding for the threshold and stationarity conditions, and
-    scipy's bisection for the package's own.
+    scipy's bisection for the package's own,
+  - the calculus's pair sums as first written (numpy scalars, one np.exp per
+    overlap), which the package must match bit for bit.
 """
+
+import struct
 
 import numpy as np
 import pytest
@@ -13,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import bisect as scipy_bisect, brentq
 
 from seqweak.errors import NonUnitary
+from seqweak.grid import GridSpec, apply_polarization_unitary, init_gaussian
 from seqweak.pointer import (
+    DROP_COEFF_TOL,
     Axis,
     DeflectionTriple,
     GaussianSuperposition,
@@ -218,10 +224,86 @@ def test_apply_coupling_requires_nonnegative_shift():
 
 
 def test_apply_polarization_rejects_nonunitary():
+    # One NaN or infinite entry must fail the check on its own: Python's
+    # max() drops a NaN depending on argument order, numpy's .max() does not.
+    nan, inf = np.nan, np.inf
     state = initial_pointer_state(HORIZONTAL)
-    for bad in (np.array([[1.0, 0.0], [0.0, 0.5]]), np.full((2, 2), np.nan), np.eye(3)):
+    field = init_gaussian(GridSpec(64, 64, 20.0), 0.15, HORIZONTAL)
+    for bad in (
+        [[1.0, 0.0], [0.0, 0.5]],
+        [[1.0, 1.0], [0.0, 0.0]],  # unit columns, not orthogonal
+        [[nan, nan], [nan, nan]],
+        [[1.0, 0.0], [0.0, nan]],
+        [[1.0, nan], [0.0, 1.0]],
+        [[1.0, 0.0], [nan, 1.0]],
+        [[nan, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0], [0.0, inf]],
+        [[1.0, inf * 1j], [0.0, 1.0]],
+        np.eye(3),
+    ):
         with pytest.raises(NonUnitary):
-            apply_polarization(state, bad)
+            apply_polarization(state, np.array(bad))
+        with pytest.raises(NonUnitary):
+            apply_polarization_unitary(field, np.array(bad))
+
+
+def reference_pairwise_sums(state, sigma):
+    """The pair sums as first written: a numpy-scalar np.exp for each of four
+    overlaps per same-polarization pair, accumulated in numpy scalars."""
+
+    def overlap(a, b):
+        return float(np.exp(-((a - b) ** 2) / (8.0 * sigma**2)))
+
+    def first_moment(a, b):
+        return 0.5 * (a + b) * overlap(a, b)
+
+    norm = x_acc = y_acc = xy_acc = 0j
+    for bra in state.terms:
+        for ket in state.terms:
+            if bra.pol is not ket.pol:
+                continue
+            w = np.conj(bra.coeff) * ket.coeff
+            ox = overlap(bra.shift_x, ket.shift_x)
+            oy = overlap(bra.shift_y, ket.shift_y)
+            fx = first_moment(bra.shift_x, ket.shift_x)
+            fy = first_moment(bra.shift_y, ket.shift_y)
+            norm += w * ox * oy
+            x_acc += w * fx * oy
+            y_acc += w * ox * fy
+            xy_acc += w * fx * fy
+    return norm, x_acc, y_acc, xy_acc
+
+
+def bits(value):
+    return struct.pack("<d", value)
+
+
+shift_values = st.sampled_from([0.0, 0.0, 0.25, -0.4]) | st.floats(-2.0, 2.0)
+coefficients = st.builds(
+    lambda re, im, scale, numpy_scalar: (np.complex128 if numpy_scalar else complex)(
+        complex(re, im) * scale
+    ),
+    st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.sampled_from([1.0, 1e-7, 2.0 * DROP_COEFF_TOL, DROP_COEFF_TOL, 0.5 * DROP_COEFF_TOL]),
+    st.booleans(),
+)
+superpositions = st.lists(
+    st.builds(PointerTerm, coefficients, shift_values, shift_values, st.sampled_from(Pol)),
+    min_size=1,
+    max_size=8,
+).map(lambda terms: GaussianSuperposition(terms=tuple(terms)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(superpositions, sigmas)
+def test_calculus_matches_reference_bit_for_bit(state, sigma):
+    with np.errstate(all="ignore"):  # a cancelled state has norm 0: NaN on both sides
+        got = moments(state, sigma)
+        norm, x_acc, y_acc, xy_acc = reference_pairwise_sums(state, sigma)
+        want = [(acc / norm).real for acc in (x_acc, y_acc, xy_acc)]
+    assert [bits(v) for v in (got.x_mm, got.y_mm, got.xy_mm2)] == [bits(v) for v in want]
+    assert bits(superposition_norm(state, sigma)) == bits(norm.real)
 
 
 def test_two_qubit_closed_form():
