@@ -370,7 +370,7 @@ def main(argv=None) -> int:
     try:
         _overlay_config(args)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OrthogonalPostselection as exc:
@@ -382,9 +382,10 @@ def main(argv=None) -> int:
     except SimulationError as exc:
         print(f"error: engine failure: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except MemoryError as exc:
+        detail = str(exc) or "allocation failed"
+        print(f"error: engine failure: not enough memory ({detail})", file=sys.stderr)
+        return 4
 
 
 def entrypoint() -> None:

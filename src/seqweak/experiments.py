@@ -23,8 +23,11 @@ from .grid import (
     GridSpec,
     IntensityImage,
     apply_conditional_shift,
+    apply_factored_shift,
+    apply_factored_unitary,
     apply_polarization_unitary,
-    discrete_means,
+    factored_gaussian,
+    factored_means,
     init_gaussian,
     intensity,
 )
@@ -151,13 +154,13 @@ def _calculus(scenario: Scenario) -> tuple:
 
 
 def _grid(scenario: Scenario, grid: GridSpec) -> tuple:
-    """The grid engine as (prepared beam, plate, couple, read)."""
-    beam = init_gaussian(grid, scenario.sigma_mm, HORIZONTAL)
+    """The grid engine on rank-1 factors as (prepared beam, plate, couple, read)."""
+    beam = factored_gaussian(grid, scenario.sigma_mm, HORIZONTAL)
     return (
-        apply_polarization_unitary(beam, scenario.prep_plate),
-        apply_polarization_unitary,
-        apply_conditional_shift,
-        lambda state: discrete_means(intensity(state)),
+        apply_factored_unitary(beam, scenario.prep_plate),
+        apply_factored_unitary,
+        apply_factored_shift,
+        factored_means,
     )
 
 
@@ -172,10 +175,13 @@ def grid_deflections(scenario: Scenario, delta_mm: float, grid: GridSpec) -> Def
 
 
 def scenario_intensity_image(scenario: Scenario, delta_mm: float, grid: GridSpec) -> IntensityImage:
-    """Detector image of the single-beam trains (sequential or single)."""
+    """Detector image of the single-beam trains (sequential or single), run on
+    full planes: the image is the one grid product that needs them."""
     if scenario.kind is ScenarioKind.TWO_QUBIT:
         raise ValueError("the two-beam scenario has no single detector image")
-    return _run_train(scenario, delta_mm, *_grid(scenario, grid)[:3], intensity)
+    plate, couple = apply_polarization_unitary, apply_conditional_shift
+    prepared = plate(init_gaussian(grid, scenario.sigma_mm, HORIZONTAL), scenario.prep_plate)
+    return _run_train(scenario, delta_mm, prepared, plate, couple, intensity)
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
@@ -199,14 +205,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
             raise SweepEngineError(delta, str(exc)) from exc
         if analytic is not None and grid_triple is not None:
             discrepancy = abs(grid_triple.xy_mm2 - analytic.xy_mm2)
-        records.append(
-            SweepRecord(
-                delta_mm=delta,
-                analytic=analytic,
-                grid=grid_triple,
-                xy_discrepancy_mm2=discrepancy,
-            )
-        )
+        records.append(SweepRecord(delta, analytic, grid_triple, discrepancy))
     return records
 
 
@@ -260,13 +259,6 @@ def weak_limit_ratio(records: list[SweepRecord]) -> float:
     return float(np.mean([joint / delta**2 for delta, joint in series[:5]]))
 
 
-def infer_sigma_from_threshold(delta_star_mm: float) -> float:
-    """Beam width whose joint-mean zero crossing sits at the given coupling."""
-    if not delta_star_mm > 0.0:
-        raise ValueError("threshold must be positive")
-    return float(delta_star_mm / np.sqrt(8.0 * np.log(3.0)))
-
-
 def _format_number(value: float | None) -> str:
     if value is None:
         return ""
@@ -316,14 +308,7 @@ def parse_csv(data: bytes) -> list[SweepRecord]:
             analytic = DeflectionTriple(*numbers[1:4])
         if all(v is not None for v in numbers[4:7]):
             grid_triple = DeflectionTriple(*numbers[4:7])
-        records.append(
-            SweepRecord(
-                delta_mm=numbers[0],
-                analytic=analytic,
-                grid=grid_triple,
-                xy_discrepancy_mm2=numbers[7],
-            )
-        )
+        records.append(SweepRecord(numbers[0], analytic, grid_triple, numbers[7]))
     return records
 
 

@@ -11,13 +11,18 @@ A conditional shift applies the same displacement directly: a 1-D DFT
 along the shift axis only, with the spectral phase in natural (unshifted)
 frequency order, so the centered DFT serves only the lens.  Norms are
 tracked against the position-space pixel area throughout.
+
+Sweeps and verify's engine check run on rank-1 factors (FactoredField):
+plates and shifts along x or y keep a Gaussian beam a sum of a few products
+pol (x) y-profile (x) x-profile, so no ny x nx plane is formed; only the
+detector image and the lens relay use full planes (PolarizedField).
 """
 
 from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,6 +100,17 @@ class PolarizedField:
 
 
 @dataclass(frozen=True)
+class FactoredField:
+    """Position-space field sum_k pol_k (x) rows_k (x) cols_k; pol (H, V) is
+    k x 2, rows (y profiles, row 0 on top) k x ny, cols (x profiles) k x nx."""
+
+    grid: GridSpec
+    pol: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+
+@dataclass(frozen=True)
 class IntensityImage:
     """Nonnegative camera image on the same raster as the field."""
 
@@ -118,22 +134,8 @@ def position_coords(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def momentum_coords(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Conjugate coordinates in rad/mm, oriented like the position axes."""
-    step_x = 2.0 * np.pi / (grid.nx * grid.pixel_mm)
-    step_y = 2.0 * np.pi / (grid.ny * grid.pixel_mm)
-    eta_x = (np.arange(grid.nx) - grid.nx // 2) * step_x
-    eta_y = (grid.ny // 2 - np.arange(grid.ny)) * step_y
-    return eta_x, eta_y
-
-
-def field_norm(field: PolarizedField) -> float:
-    """Total power against the position-space pixel area."""
-    return float(intensity(field).values.sum() * field.grid.pixel_area_mm2)
-
-
-def init_gaussian(grid: GridSpec, sigma_mm: float, pol: QubitState) -> PolarizedField:
-    """Centered Gaussian beam of intensity width sigma in the given polarization."""
+def _check_beam(grid: GridSpec, sigma_mm: float) -> None:
+    """The grid must resolve the beam and hold its tails."""
     if not sigma_mm > 0.0:
         raise ValueError("sigma must be positive")
     if sigma_mm < WAIST_PIXELS_MIN * grid.pixel_mm:
@@ -144,6 +146,11 @@ def init_gaussian(grid: GridSpec, sigma_mm: float, pol: QubitState) -> Polarized
         raise GridTooSmall(
             f"grid extent cannot hold {WAIST_EXTENT_FACTOR:g} sigma of the beam"
         )
+
+
+def init_gaussian(grid: GridSpec, sigma_mm: float, pol: QubitState) -> PolarizedField:
+    """Centered Gaussian beam of intensity width sigma in the given polarization."""
+    _check_beam(grid, sigma_mm)
     x, y = position_coords(grid)
     envelope = np.exp(-(x[None, :] ** 2 + y[:, None] ** 2) / (4.0 * sigma_mm**2))
     envelope = envelope / np.sqrt((envelope**2).sum() * grid.pixel_area_mm2)
@@ -153,6 +160,16 @@ def init_gaussian(grid: GridSpec, sigma_mm: float, pol: QubitState) -> Polarized
         v_plane=pol.amp_v * envelope,
         space=Space.POSITION,
     )
+
+
+def factored_gaussian(grid: GridSpec, sigma_mm: float, pol: QubitState) -> FactoredField:
+    """init_gaussian's beam as one rank-1 factor, normalized the same way."""
+    _check_beam(grid, sigma_mm)
+    x, y = position_coords(grid)
+    cols = np.exp(-(x[None, :] ** 2) / (4.0 * sigma_mm**2))
+    rows = np.exp(-(y[None, :] ** 2) / (4.0 * sigma_mm**2))
+    scale = 1.0 / np.sqrt((cols**2).sum() * (rows**2).sum() * grid.pixel_area_mm2)
+    return FactoredField(grid, np.array([[pol.amp_h, pol.amp_v]]) * scale, rows, cols)
 
 
 def _centered_forward(plane: np.ndarray) -> np.ndarray:
@@ -167,19 +184,18 @@ def fourier_lens(field: PolarizedField) -> PolarizedField:
     Applying it twice returns the coordinate-inverted field; four
     applications are the identity.
     """
-    return PolarizedField(
-        grid=field.grid,
-        h_plane=_centered_forward(field.h_plane),
-        v_plane=_centered_forward(field.v_plane),
-        space=Space.MOMENTUM if field.space is Space.POSITION else Space.POSITION,
-    )
+    space = Space.MOMENTUM if field.space is Space.POSITION else Space.POSITION
+    h_plane, v_plane = _centered_forward(field.h_plane), _centered_forward(field.v_plane)
+    return replace(field, h_plane=h_plane, v_plane=v_plane, space=space)
 
 
-def _linear_phase(grid: GridSpec, delta_mm: float, axis: Axis) -> np.ndarray:
-    eta_x, eta_y = momentum_coords(grid)
-    if axis is Axis.X:
-        return np.exp(1j * delta_mm * eta_x)[None, :]
-    return np.exp(1j * delta_mm * eta_y)[:, None]
+def _phase(grid: GridSpec, delta_mm: float, axis: Axis) -> np.ndarray:
+    """exp(i delta eta) along the axis, eta in natural (unshifted) frequency
+    order: integer wavenumbers times the momentum step, negated for y, whose
+    rows run downwards."""
+    side = grid.nx if axis is Axis.X else grid.ny
+    eta = np.fft.fftfreq(side, 1.0 / side) * (2.0 * np.pi / (side * grid.pixel_mm))
+    return np.exp(1j * delta_mm * (eta if axis is Axis.X else -eta))
 
 
 def apply_slm_mask(field: PolarizedField, alpha: int, axis: Axis) -> PolarizedField:
@@ -200,59 +216,66 @@ def apply_slm_mask(field: PolarizedField, alpha: int, axis: Axis) -> PolarizedFi
         raise AliasingRisk(
             f"grating phase would step by >= pi per pixel (delta {delta:g} mm, extent {extent:g} mm)"
         )
-    return PolarizedField(
-        grid=field.grid,
-        h_plane=field.h_plane * _linear_phase(field.grid, delta, axis),
-        v_plane=field.v_plane,
-        space=field.space,
-    )
+    centered = np.fft.fftshift(_phase(field.grid, delta, axis))
+    phase = centered[None, :] if axis is Axis.X else centered[:, None]
+    return replace(field, h_plane=field.h_plane * phase)
+
+
+def _check_shift(grid: GridSpec, delta_mm: float, axis: Axis) -> None:
+    extent = grid.extent_x_mm if axis is Axis.X else grid.extent_y_mm
+    if not abs(delta_mm) < extent / 4.0:  # NaN fails too
+        raise ShiftTooLarge(
+            f"|delta| = {abs(delta_mm):g} mm exceeds a quarter of the {extent:g} mm extent"
+        )
+
+
+def _shift_along(data: np.ndarray, grid: GridSpec, delta_mm: float, axis: Axis, dim: int):
+    """1-D DFT of data along dim, the spectral phase of the axis, inverse DFT."""
+    spectrum = np.fft.ifft(data, axis=dim)
+    spectrum *= np.expand_dims(_phase(grid, delta_mm, axis), 1 - dim)
+    return np.fft.fft(spectrum, axis=dim)
 
 
 def apply_conditional_shift(
     field: PolarizedField, delta_mm: float, axis: Axis
 ) -> PolarizedField:
-    """Displace the H plane by +delta along the axis via a spectral phase.
-
-    Equivalent to a lens, a grating of matching strength, and the rest of
-    the relay; the V plane passes through untouched.  Only the shift axis
-    is transformed: a 1-D DFT, the phase exp(i delta eta) with eta in
-    natural frequency order (negated for y, whose rows run downwards), and
-    the inverse DFT.  The phases are those of momentum_coords, Nyquist bin
-    included, so this is the same operator as the centered 2-D relay.
-    """
+    """Displace the H plane by +delta along the axis via a spectral phase on
+    that axis only; the V plane passes through untouched.  The same operator,
+    Nyquist bin included, as a lens, a matching grating and the rest of the relay."""
     if field.space is not Space.POSITION:
         raise WrongSpace("conditional shifts act on the position-space field")
-    extent = field.grid.extent_x_mm if axis is Axis.X else field.grid.extent_y_mm
-    if not abs(delta_mm) < extent / 4.0:
-        raise ShiftTooLarge(
-            f"|delta| = {abs(delta_mm):g} mm exceeds a quarter of the {extent:g} mm extent"
-        )
+    _check_shift(field.grid, delta_mm, axis)
     if delta_mm == 0.0:
         return field
-    side, dim = (field.grid.nx, 1) if axis is Axis.X else (field.grid.ny, 0)
-    # Integer wavenumbers in natural order times the momentum step.
-    eta = np.fft.fftfreq(side, 1.0 / side) * (2.0 * np.pi / (side * field.grid.pixel_mm))
-    if axis is Axis.Y:
-        eta = -eta  # rows run downwards
-    spectrum = np.fft.ifft(field.h_plane, axis=dim)
-    spectrum *= np.expand_dims(np.exp(1j * delta_mm * eta), 1 - dim)
-    return PolarizedField(
-        grid=field.grid,
-        h_plane=np.fft.fft(spectrum, axis=dim),
-        v_plane=field.v_plane,
-        space=field.space,
-    )
+    dim = 1 if axis is Axis.X else 0
+    return replace(field, h_plane=_shift_along(field.h_plane, field.grid, delta_mm, axis, dim))
+
+
+def apply_factored_shift(field: FactoredField, delta_mm: float, axis: Axis) -> FactoredField:
+    """apply_conditional_shift on factors: each factor splits into its H part,
+    whose x (cols) or y (rows) profile moves, and its V part, which stays."""
+    _check_shift(field.grid, delta_mm, axis)
+    if delta_mm == 0.0:
+        return field
+    pol = np.concatenate([field.pol * [1.0, 0.0], field.pol * [0.0, 1.0]])
+    rows, cols = [field.rows, field.rows], [field.cols, field.cols]
+    moving = cols if axis is Axis.X else rows
+    moving[0] = _shift_along(moving[0], field.grid, delta_mm, axis, 1)
+    return FactoredField(field.grid, pol, np.concatenate(rows), np.concatenate(cols))
 
 
 def apply_polarization_unitary(field: PolarizedField, u) -> PolarizedField:
     """Mix the H and V planes with a 2x2 unitary."""
     a, b, c, d = checked_unitary(u)
-    return PolarizedField(
-        grid=field.grid,
-        h_plane=a * field.h_plane + b * field.v_plane,
-        v_plane=c * field.h_plane + d * field.v_plane,
-        space=field.space,
-    )
+    h, v = field.h_plane, field.v_plane
+    return replace(field, h_plane=a * h + b * v, v_plane=c * h + d * v)
+
+
+def apply_factored_unitary(field: FactoredField, u) -> FactoredField:
+    """Mix the H and V amplitudes of every factor with a 2x2 unitary."""
+    a, b, c, d = checked_unitary(u)
+    h, v = field.pol[:, 0], field.pol[:, 1]
+    return replace(field, pol=np.stack([a * h + b * v, c * h + d * v], axis=1))
 
 
 def intensity(field: PolarizedField) -> IntensityImage:
@@ -276,6 +299,20 @@ def discrete_means(image: IntensityImage) -> DeflectionTriple:
     y_mean = float(y @ values.sum(axis=1) / total)
     xy_mean = float(y @ values @ x / total)
     return DeflectionTriple(x_mm=x_mean, y_mm=y_mean, xy_mm2=xy_mean)
+
+
+def factored_means(field: FactoredField) -> DeflectionTriple:
+    """discrete_means of the factored field's intensity without forming it:
+    each pixel sum is sum_kl (pol_k^H pol_l)(rows_k^H Y rows_l)(cols_k^H X cols_l),
+    with Y and X the coordinate or one."""
+    x, y = position_coords(field.grid)
+    pols = field.pol.conj() @ field.pol.T
+    rows = [pols * ((field.rows.conj() * w) @ field.rows.T) for w in (1.0, y)]
+    cols = [(field.cols.conj() * w) @ field.cols.T for w in (1.0, x)]
+    (total, x_sum), (y_sum, xy_sum) = [[float((r * c).sum().real) for c in cols] for r in rows]
+    if total <= 0.0:
+        raise EmptyImage("image carries no power")
+    return DeflectionTriple(x_mm=x_sum / total, y_mm=y_sum / total, xy_mm2=xy_sum / total)
 
 
 def render_pgm(image: IntensityImage) -> bytes:

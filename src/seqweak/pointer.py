@@ -73,18 +73,6 @@ class DeflectionTriple:
     xy_mm2: float
 
 
-def overlap(a: float, b: float, sigma: float) -> float:
-    """Overlap <phi_a|phi_b> of two width-sigma Gaussians."""
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
-    return float(np.exp(-((a - b) ** 2) / (8.0 * sigma**2)))
-
-
-def first_moment(a: float, b: float, sigma: float) -> float:
-    """Matrix element <phi_a|x|phi_b> of two width-sigma Gaussians."""
-    return 0.5 * (a + b) * overlap(a, b, sigma)
-
-
 def initial_pointer_state(pol: QubitState) -> GaussianSuperposition:
     """Centered Gaussian carrying the given polarization."""
     terms = []
@@ -170,9 +158,9 @@ def apply_polarization(
 def _pairwise_sums(state: GaussianSuperposition, sigma: float):
     """<psi|psi>, <x>, <y> and <x y> sums over same-polarization term pairs.
 
-    Each pair's two overlaps come from one np.exp call over all pairs; the
-    exponents are built in Python floats exactly as `overlap` builds them,
-    and the sums accumulate in Python complex in bra-major pair order.
+    Each pair's two overlaps exp(-(a - b)^2 / (8 sigma^2)) come from one
+    np.exp call over all pairs, with the exponents built in Python floats;
+    the sums accumulate in Python complex in bra-major pair order.
     """
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
@@ -193,12 +181,6 @@ def _pairwise_sums(state: GaussianSuperposition, sigma: float):
         y_acc += w * ox * fy
         xy_acc += w * fx * fy
     return norm, x_acc, y_acc, xy_acc
-
-
-def superposition_norm(state: GaussianSuperposition, sigma: float) -> float:
-    """Total norm <psi|psi> evaluated through the overlap kernel."""
-    norm, _, _, _ = _pairwise_sums(state, sigma)
-    return float(norm.real)
 
 
 def moments(state: GaussianSuperposition, sigma: float) -> DeflectionTriple:

@@ -125,12 +125,6 @@ def waveplate_hwp(theta_deg: float) -> Observable:
     return Observable(np.array([[c, s], [s, -c]]))
 
 
-def apply_unitary(u: Observable | np.ndarray, state: QubitState) -> QubitState:
-    """Apply a 2x2 unitary to a state; rejects maps that break normalization."""
-    vec = np.asarray(u, dtype=complex) @ state.vector()
-    return QubitState(vec[0], vec[1])
-
-
 def weak_value(pre: QubitState, post: QubitState, observable: Observable) -> complex:
     """Post-selected weak value <post|A|pre> / <post|pre>."""
     den = inner(post, pre)

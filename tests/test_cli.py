@@ -301,6 +301,20 @@ def test_sweep_preparation_failure_exit_4_names_first_delta(tmp_path, capsys):
     assert "engine failure at delta = 0 mm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 32.0 GiB for an array", ""])
+def test_image_out_of_memory_exit_4(tmp_path, capsys, monkeypatch, message):
+    # The refusal is patched in: no test allocates a 65536^2 plane.
+    def refuse(scenario, delta_mm, grid):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("seqweak.cli.scenario_intensity_image", refuse)
+    out = tmp_path / "huge.pgm"
+    assert main(["image", "--delta", "0.3mm", "--grid-size", "65536", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == f"error: engine failure: not enough memory ({message or 'allocation failed'})\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_image_alpha_sets_shift(tmp_path, capsys):
     out = tmp_path / "beam.pgm"
     raw = tmp_path / "beam.bin"

@@ -24,14 +24,13 @@ from seqweak.experiments import (
     find_extremum,
     find_zero_crossing,
     grid_deflections,
-    infer_sigma_from_threshold,
     parse_csv,
     run_sweep,
     scenario_intensity_image,
     weak_limit_ratio,
     write_metadata,
 )
-from seqweak.grid import GridSpec, discrete_means, init_gaussian, intensity
+from seqweak.grid import GridSpec, discrete_means, factored_gaussian, intensity
 from seqweak.pointer import (
     Axis,
     DeflectionTriple,
@@ -196,11 +195,22 @@ def joint_reading(triples):
     return DeflectionTriple(x_mm=a.x_mm, y_mm=b.y_mm, xy_mm2=a.x_mm * b.y_mm)
 
 
+# The dense planes are the reference for the factored grid engine, within a
+# bound stated before it was measured (at most 4.2e-16 over the three trains,
+# three widths and five couplings at 256^2 and 1024^2).
+DENSE_AGREEMENT = 1e-15
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("prep_deg, mid_deg", [(30.0, -30.0), (25.0, -35.0)])
-@pytest.mark.parametrize("delta", [0.0, 0.12, 0.331])
-def test_train_equals_hand_written_chain(kind, prep_deg, mid_deg, delta):
-    scenario = Scenario(kind=kind, prep_angle_deg=prep_deg, mid_angle_deg=mid_deg)
+@pytest.mark.parametrize(
+    "sigma, delta",
+    [(DEFAULT_SIGMA_MM, 0.0), (DEFAULT_SIGMA_MM, 0.12), (DEFAULT_SIGMA_MM, 0.331), (0.5, 0.8)],
+    # sigma 0.5 mm, delta 0.8 mm at 256^2: the beam's tail wraps around the grid.
+    ids=["0.0", "0.12", "0.331", "wrap-0.5-0.8"],
+)
+def test_train_equals_hand_written_chain(kind, prep_deg, mid_deg, sigma, delta):
+    scenario = Scenario(kind=kind, sigma_mm=sigma, prep_angle_deg=prep_deg, mid_angle_deg=mid_deg)
     photons = hand_written_photons(kind, prep_deg, mid_deg)
     pointers = [run_chain(delta, *elements) for elements in photons]
     want = joint_reading([moments(pointer, scenario.sigma_mm) for pointer in pointers])
@@ -208,7 +218,10 @@ def test_train_equals_hand_written_chain(kind, prep_deg, mid_deg, delta):
 
     fields = [run_grid_chain(GRID, scenario.sigma_mm, delta, *elements) for elements in photons]
     want = joint_reading([discrete_means(intensity(field)) for field in fields])
-    assert grid_deflections(scenario, delta, GRID) == want
+    got = grid_deflections(scenario, delta, GRID)
+    assert got.x_mm == pytest.approx(want.x_mm, rel=0.0, abs=DENSE_AGREEMENT)
+    assert got.y_mm == pytest.approx(want.y_mm, rel=0.0, abs=DENSE_AGREEMENT)
+    assert got.xy_mm2 == pytest.approx(want.xy_mm2, rel=0.0, abs=DENSE_AGREEMENT)
     if kind is not ScenarioKind.TWO_QUBIT:
         image = scenario_intensity_image(scenario, delta, GRID)
         assert np.array_equal(image.values, intensity(fields[0]).values)
@@ -235,11 +248,28 @@ def test_grid_sweep_prepares_the_beam_once(kind, monkeypatch):
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return init_gaussian(*args, **kwargs)
+        return factored_gaussian(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "init_gaussian", counting)
+    monkeypatch.setattr(experiments, "factored_gaussian", counting)
     run_sweep(SweepSpec(Scenario(kind=kind), 0.0, 0.5, 6, engines=BOTH, grid=GRID))
     assert len(calls) == 1
+
+
+def test_grid_sweep_never_forms_a_plane(monkeypatch):
+    # A 65536^2 plane of complex128 is 64 GiB; the sweep must run on factors.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep must not form a full plane")
+
+    monkeypatch.setattr("seqweak.grid.init_gaussian", refuse)
+    monkeypatch.setattr(experiments, "init_gaussian", refuse)
+    huge = GridSpec(65536, 65536, 13.5)
+    for kind in ALL_KINDS:
+        records = run_sweep(SweepSpec(Scenario(kind=kind), 0.0, 0.711, 4, engines=BOTH, grid=huge))
+        for r in records:
+            # The engine-equivalence tolerances of the 1024^2 grid.
+            assert abs(r.grid.x_mm - r.analytic.x_mm) <= 1e-3
+            assert abs(r.grid.y_mm - r.analytic.y_mm) <= 1e-3
+            assert r.xy_discrepancy_mm2 <= 1e-4
 
 
 def test_preparation_failure_carries_first_delta():
@@ -308,11 +338,14 @@ def test_find_extremum_requires_interior_dip():
 
 
 def test_infer_sigma_from_threshold():
-    assert infer_sigma_from_threshold(0.331) == pytest.approx(0.1116, abs=1e-4)
+    # The default width is the one whose zero crossing sits at 0.331 mm.
+    def infer_sigma(delta_star_mm):
+        return delta_star_mm / np.sqrt(8.0 * np.log(3.0))
+
+    assert infer_sigma(0.331) == pytest.approx(DEFAULT_SIGMA_MM, abs=1e-4)
+    assert anomaly_threshold(DEFAULT_SIGMA_MM) == pytest.approx(0.331, abs=1e-3)
     sigma = 0.4321
-    assert infer_sigma_from_threshold(anomaly_threshold(sigma)) == pytest.approx(sigma, abs=1e-12)
-    with pytest.raises(ValueError):
-        infer_sigma_from_threshold(0.0)
+    assert infer_sigma(anomaly_threshold(sigma)) == pytest.approx(sigma, abs=1e-12)
 
 
 def test_csv_header_and_zero_row(tmp_path):

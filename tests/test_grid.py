@@ -27,12 +27,14 @@ from seqweak.grid import (
     apply_conditional_shift,
     apply_polarization_unitary,
     apply_slm_mask,
+    apply_factored_shift,
+    apply_factored_unitary,
     discrete_means,
-    field_norm,
+    factored_gaussian,
+    factored_means,
     fourier_lens,
     init_gaussian,
     intensity,
-    momentum_coords,
     position_coords,
     render_pgm,
     render_raw,
@@ -42,6 +44,20 @@ from seqweak.qubit import HORIZONTAL, PLUS_SIXTY, QubitState, waveplate_hwp
 
 GRID = GridSpec(nx=256, ny=256, pixel_um=13.5)
 SIGMA = 0.1116
+
+
+def field_norm(field):
+    """Total power against the position-space pixel area."""
+    return float(intensity(field).values.sum() * field.grid.pixel_area_mm2)
+
+
+def momentum_coords(grid):
+    """Centered conjugate coordinates in rad/mm, oriented like the position axes."""
+    step_x = 2.0 * np.pi / (grid.nx * grid.pixel_mm)
+    step_y = 2.0 * np.pi / (grid.ny * grid.pixel_mm)
+    eta_x = (np.arange(grid.nx) - grid.nx // 2) * step_x
+    eta_y = (grid.ny // 2 - np.arange(grid.ny)) * step_y
+    return eta_x, eta_y
 
 
 def parse_pgm(data):
@@ -361,3 +377,83 @@ def test_render_raw_round_trip():
     assert pixel_um == 13.5
     payload = np.frombuffer(blob[24:], dtype="<f8").reshape(ny, nx)
     assert np.array_equal(payload, image.values)
+
+
+def factored_planes(field):
+    """The H and V planes a factored field stands for, formed in full."""
+    return [(field.rows.T * field.pol[:, p]) @ field.cols for p in (0, 1)]
+
+
+def random_chain(rng, count):
+    """Random complex 2x2 unitaries (not symmetric, unlike a half-wave plate)
+    and shifts of either sign along random axes."""
+    chain = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            chain.append(np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0])
+        else:
+            chain.append((Axis.X if rng.random() < 0.5 else Axis.Y, float(rng.uniform(-0.4, 0.4))))
+    return chain
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_factored_engine_matches_dense_planes(seed):
+    # Non-square grid, PLUS_SIXTY input and random chains: the factors must
+    # stand for the dense engine's planes, and the factored moments must be
+    # its discrete_means.
+    grid = GridSpec(nx=256, ny=128, pixel_um=13.5)
+    rng = np.random.default_rng(seed)
+    dense = init_gaussian(grid, SIGMA, PLUS_SIXTY)
+    factored = factored_gaussian(grid, SIGMA, PLUS_SIXTY)
+    for element in random_chain(rng, 7):
+        if isinstance(element, tuple):
+            dense = apply_conditional_shift(dense, element[1], element[0])
+            factored = apply_factored_shift(factored, element[1], element[0])
+        else:
+            dense = apply_polarization_unitary(dense, element)
+            factored = apply_factored_unitary(factored, element)
+    h, v = factored_planes(factored)
+    assert np.abs(h - dense.h_plane).max() <= 1e-14
+    assert np.abs(v - dense.v_plane).max() <= 1e-14
+    got, want = factored_means(factored), discrete_means(intensity(dense))
+    for a, b in zip((got.x_mm, got.y_mm, got.xy_mm2), (want.x_mm, want.y_mm, want.xy_mm2)):
+        assert a == pytest.approx(b, abs=1e-15)
+
+
+def test_factored_shift_splits_each_factor_once():
+    beam = apply_factored_unitary(factored_gaussian(GRID, SIGMA, HORIZONTAL), waveplate_hwp(30.0))
+    assert apply_factored_shift(beam, 0.0, Axis.X) is beam
+    once = apply_factored_shift(beam, 0.2, Axis.X)
+    twice = apply_factored_shift(once, 0.2, Axis.Y)
+    assert [len(f.pol) for f in (beam, once, twice)] == [1, 2, 4]
+    assert (once.rows.shape, once.cols.shape) == ((2, GRID.ny), (2, GRID.nx))
+    assert np.array_equal(once.rows[0], beam.rows[0]) and np.array_equal(once.cols[1], beam.cols[0])
+
+
+def test_factored_means_of_an_empty_field():
+    beam = factored_gaussian(GRID, SIGMA, HORIZONTAL)
+    dark = type(beam)(beam.grid, np.zeros_like(beam.pol), beam.rows, beam.cols)
+    with pytest.raises(EmptyImage):
+        factored_means(dark)
+
+
+def test_both_engines_refuse_the_same_inputs_alike():
+    cases = [
+        (GridSpec(256, 256, 54.0), SIGMA, 0.1, GridTooCoarse),
+        (GridSpec(64, 64, 13.5), 0.2, 0.1, GridTooSmall),
+        (GRID, 0.0, 0.1, ValueError),
+        (GRID, SIGMA, GRID.extent_x_mm / 4.0 + 0.01, ShiftTooLarge),
+        (GRID, SIGMA, float("nan"), ShiftTooLarge),
+        (GRID, SIGMA, float("-inf"), ShiftTooLarge),
+    ]
+    for grid, sigma, delta, error in cases:
+        for axis in (Axis.X, Axis.Y):
+            messages = []
+            for start, shift in (
+                (init_gaussian, apply_conditional_shift),
+                (factored_gaussian, apply_factored_shift),
+            ):
+                with pytest.raises(error) as raised:
+                    shift(start(grid, sigma, HORIZONTAL), delta, axis)
+                messages.append(str(raised.value))
+            assert messages[0] == messages[1]

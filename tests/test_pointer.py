@@ -6,7 +6,8 @@ Oracles used here, all independent of the library internals:
   - scipy root finding for the threshold and stationarity conditions, and
     scipy's bisection for the package's own,
   - the calculus's pair sums as first written (numpy scalars, one np.exp per
-    overlap), which the package must match bit for bit.
+    overlap), which the package must match bit for bit; its two Gaussian
+    kernels are checked against quadrature here.
 """
 
 import struct
@@ -17,7 +18,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import bisect as scipy_bisect, brentq
 
 from seqweak.errors import NonUnitary
-from seqweak.grid import GridSpec, apply_polarization_unitary, init_gaussian
+from seqweak.grid import (
+    GridSpec,
+    apply_factored_unitary,
+    apply_polarization_unitary,
+    factored_gaussian,
+    init_gaussian,
+)
 from seqweak.pointer import (
     DROP_COEFF_TOL,
     Axis,
@@ -32,12 +39,9 @@ from seqweak.pointer import (
     closed_form_sequential,
     closed_form_single_coupling,
     closed_form_two_qubit,
-    first_moment,
     initial_pointer_state,
     max_reversal_delta,
     moments,
-    overlap,
-    superposition_norm,
 )
 from seqweak.qubit import HORIZONTAL, waveplate_hwp
 
@@ -58,6 +62,16 @@ def quad_overlap(a, b, sigma, weight=None):
     x = np.linspace(-lim, lim, 4001)
     w = np.ones_like(x) if weight is None else weight(x)
     return np.trapezoid(gauss_amp(x, a, sigma) * w * gauss_amp(x, b, sigma), x)
+
+
+def overlap(a, b, sigma):
+    """Overlap <phi_a|phi_b> of two width-sigma Gaussians."""
+    return float(np.exp(-((a - b) ** 2) / (8.0 * sigma**2)))
+
+
+def first_moment(a, b, sigma):
+    """Matrix element <phi_a|x|phi_b> of two width-sigma Gaussians."""
+    return 0.5 * (a + b) * overlap(a, b, sigma)
 
 
 def brute_chain_terms(delta):
@@ -203,7 +217,7 @@ def test_first_marginal_is_width_independent(sigma, ratio):
 @given(sigmas, ratios)
 def test_chain_preserves_norm(sigma, ratio):
     state = run_sequential_chain(ratio * sigma)
-    assert superposition_norm(state, sigma) == pytest.approx(1.0, abs=1e-10)
+    assert reference_pairwise_sums(state, sigma)[0].real == pytest.approx(1.0, abs=1e-10)
 
 
 def test_polarization_merges_repeated_terms():
@@ -229,6 +243,7 @@ def test_apply_polarization_rejects_nonunitary():
     nan, inf = np.nan, np.inf
     state = initial_pointer_state(HORIZONTAL)
     field = init_gaussian(GridSpec(64, 64, 20.0), 0.15, HORIZONTAL)
+    factored = factored_gaussian(GridSpec(64, 64, 20.0), 0.15, HORIZONTAL)
     for bad in (
         [[1.0, 0.0], [0.0, 0.5]],
         [[1.0, 1.0], [0.0, 0.0]],  # unit columns, not orthogonal
@@ -245,28 +260,23 @@ def test_apply_polarization_rejects_nonunitary():
             apply_polarization(state, np.array(bad))
         with pytest.raises(NonUnitary):
             apply_polarization_unitary(field, np.array(bad))
+        with pytest.raises(NonUnitary):
+            apply_factored_unitary(factored, np.array(bad))
 
 
 def reference_pairwise_sums(state, sigma):
     """The pair sums as first written: a numpy-scalar np.exp for each of four
     overlaps per same-polarization pair, accumulated in numpy scalars."""
-
-    def overlap(a, b):
-        return float(np.exp(-((a - b) ** 2) / (8.0 * sigma**2)))
-
-    def first_moment(a, b):
-        return 0.5 * (a + b) * overlap(a, b)
-
     norm = x_acc = y_acc = xy_acc = 0j
     for bra in state.terms:
         for ket in state.terms:
             if bra.pol is not ket.pol:
                 continue
             w = np.conj(bra.coeff) * ket.coeff
-            ox = overlap(bra.shift_x, ket.shift_x)
-            oy = overlap(bra.shift_y, ket.shift_y)
-            fx = first_moment(bra.shift_x, ket.shift_x)
-            fy = first_moment(bra.shift_y, ket.shift_y)
+            ox = overlap(bra.shift_x, ket.shift_x, sigma)
+            oy = overlap(bra.shift_y, ket.shift_y, sigma)
+            fx = first_moment(bra.shift_x, ket.shift_x, sigma)
+            fy = first_moment(bra.shift_y, ket.shift_y, sigma)
             norm += w * ox * oy
             x_acc += w * fx * oy
             y_acc += w * ox * fy
@@ -303,7 +313,6 @@ def test_calculus_matches_reference_bit_for_bit(state, sigma):
         norm, x_acc, y_acc, xy_acc = reference_pairwise_sums(state, sigma)
         want = [(acc / norm).real for acc in (x_acc, y_acc, xy_acc)]
     assert [bits(v) for v in (got.x_mm, got.y_mm, got.xy_mm2)] == [bits(v) for v in want]
-    assert bits(superposition_norm(state, sigma)) == bits(norm.real)
 
 
 def test_two_qubit_closed_form():

@@ -16,7 +16,6 @@ from seqweak.qubit import (
     VERTICAL,
     Observable,
     QubitState,
-    apply_unitary,
     expectation,
     inner,
     is_anomalous,
@@ -208,10 +207,10 @@ def test_commuting_pairs_are_never_anomalous(pre, u, a1, a2, b1, b2):
 
 
 def test_hwp_rotates_horizontal_to_sixty_degree_states():
-    assert apply_unitary(waveplate_hwp(30.0), HORIZONTAL).vector() == pytest.approx(
+    assert waveplate_hwp(30.0).matrix @ HORIZONTAL.vector() == pytest.approx(
         PLUS_SIXTY.vector(), abs=1e-12
     )
-    assert apply_unitary(waveplate_hwp(-30.0), HORIZONTAL).vector() == pytest.approx(
+    assert waveplate_hwp(-30.0).matrix @ HORIZONTAL.vector() == pytest.approx(
         MINUS_SIXTY.vector(), abs=1e-12
     )
 
