@@ -273,7 +273,7 @@ def check_calculus_agreement() -> CheckResult:
     return _timed("calculus-agreement", body)
 
 
-def check_slm_calibration(slm_k: float | None = None) -> CheckResult:
+def check_slm_calibration() -> CheckResult:
     def body():
         alpha = 10
         field = init_gaussian(COARSE_GRID, DEFAULT_SIGMA_MM, PLUS_SIXTY)
@@ -281,8 +281,7 @@ def check_slm_calibration(slm_k: float | None = None) -> CheckResult:
         routed = apply_slm_mask(routed, alpha, Axis.X)
         for _ in range(3):
             routed = fourier_lens(routed)
-        k = SLM_MM_PER_UNIT if slm_k is None else slm_k
-        shifted = apply_conditional_shift(field, k * alpha, Axis.X)
+        shifted = apply_conditional_shift(field, SLM_MM_PER_UNIT * alpha, Axis.X)
         deviation = max(
             float(np.abs(routed.h_plane - shifted.h_plane).max()),
             float(np.abs(routed.v_plane - shifted.v_plane).max()),
@@ -290,7 +289,7 @@ def check_slm_calibration(slm_k: float | None = None) -> CheckResult:
         ok = deviation <= 1e-9
         return ok, (
             f"grating alpha = {alpha} through lens relay vs conditional shift of "
-            f"{k * alpha:g} mm: max field deviation {deviation:.2e} (tol 1e-9)"
+            f"{SLM_MM_PER_UNIT * alpha:g} mm: max field deviation {deviation:.2e} (tol 1e-9)"
         )
 
     return _timed("slm-calibration", body)
@@ -348,7 +347,7 @@ def check_image_lobes(fast: bool = False) -> CheckResult:
     return _timed("image-lobes", body)
 
 
-def run_all_checks(fast: bool = False, slm_k: float | None = None) -> list[CheckResult]:
+def run_all_checks(fast: bool = False) -> list[CheckResult]:
     """Run every check in a fixed order; fast mode shrinks the grids."""
     return [
         check_closed_form_reproduction(),
@@ -359,7 +358,7 @@ def run_all_checks(fast: bool = False, slm_k: float | None = None) -> list[Check
         check_two_qubit_nonnegativity(),
         check_engine_equivalence(fast=fast),
         check_calculus_agreement(),
-        check_slm_calibration(slm_k=slm_k),
+        check_slm_calibration(),
         check_decomposition_identity(),
         check_image_lobes(fast=fast),
     ]

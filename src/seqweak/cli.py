@@ -289,14 +289,7 @@ def cmd_image(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    fast = bool(args.fast)
-    slm_k = None
-    if args.slm_k is not None:
-        try:
-            slm_k = float(args.slm_k)
-        except ValueError:
-            raise UsageError(f"--slm-k must be a number, got {args.slm_k!r}") from None
-    results = run_all_checks(fast=fast, slm_k=slm_k)
+    results = run_all_checks(fast=bool(args.fast))
     width = max(len(result.name) for result in results)
     for result in results:
         verdict = "PASS" if result.passed else "FAIL"
@@ -354,8 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = commands.add_parser("verify", help="run the self-verification checks")
     verify.add_argument("--fast", action="store_true", default=None, help="shrink the grids")
-    verify.add_argument("--slm-k", help=argparse.SUPPRESS)
-    add_config(verify, {"fast", "slm-k"})
+    add_config(verify, {"fast"})
     verify.set_defaults(func=cmd_verify)
 
     return parser

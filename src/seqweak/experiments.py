@@ -22,14 +22,12 @@ from .errors import NoInteriorExtremum, NoSignChange, SimulationError, SweepEngi
 from .grid import (
     GridSpec,
     IntensityImage,
-    apply_conditional_shift,
     apply_factored_shift,
     apply_factored_unitary,
-    apply_polarization_unitary,
     factored_gaussian,
     factored_means,
-    init_gaussian,
     intensity,
+    planes,
 )
 from .pointer import (
     Axis,
@@ -175,13 +173,14 @@ def grid_deflections(scenario: Scenario, delta_mm: float, grid: GridSpec) -> Def
 
 
 def scenario_intensity_image(scenario: Scenario, delta_mm: float, grid: GridSpec) -> IntensityImage:
-    """Detector image of the single-beam trains (sequential or single), run on
-    full planes: the image is the one grid product that needs them."""
+    """Detector image of the single-beam trains (sequential or single): the
+    factored train, read out by forming the H and V planes once."""
     if scenario.kind is ScenarioKind.TWO_QUBIT:
         raise ValueError("the two-beam scenario has no single detector image")
-    plate, couple = apply_polarization_unitary, apply_conditional_shift
-    prepared = plate(init_gaussian(grid, scenario.sigma_mm, HORIZONTAL), scenario.prep_plate)
-    return _run_train(scenario, delta_mm, prepared, plate, couple, intensity)
+    prepared, plate, couple, _ = _grid(scenario, grid)
+    return _run_train(
+        scenario, delta_mm, prepared, plate, couple, lambda field: intensity(planes(field))
+    )
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:

@@ -12,10 +12,12 @@ along the shift axis only, with the spectral phase in natural (unshifted)
 frequency order, so the centered DFT serves only the lens.  Norms are
 tracked against the position-space pixel area throughout.
 
-Sweeps and verify's engine check run on rank-1 factors (FactoredField):
-plates and shifts along x or y keep a Gaussian beam a sum of a few products
-pol (x) y-profile (x) x-profile, so no ny x nx plane is formed; only the
-detector image and the lens relay use full planes (PolarizedField).
+The optical train runs on rank-1 factors (FactoredField): plates and
+shifts along x or y keep a Gaussian beam a sum of a few products
+pol (x) y-profile (x) x-profile.  Sweeps read the moments off the factors
+and never form an ny x nx plane; planes() forms the H and V planes
+(PolarizedField) in one place, for the detector image's readout and for
+init_gaussian's beam, which the lens relay takes.
 """
 
 from __future__ import annotations
@@ -148,28 +150,27 @@ def _check_beam(grid: GridSpec, sigma_mm: float) -> None:
         )
 
 
-def init_gaussian(grid: GridSpec, sigma_mm: float, pol: QubitState) -> PolarizedField:
-    """Centered Gaussian beam of intensity width sigma in the given polarization."""
-    _check_beam(grid, sigma_mm)
-    x, y = position_coords(grid)
-    envelope = np.exp(-(x[None, :] ** 2 + y[:, None] ** 2) / (4.0 * sigma_mm**2))
-    envelope = envelope / np.sqrt((envelope**2).sum() * grid.pixel_area_mm2)
-    return PolarizedField(
-        grid=grid,
-        h_plane=pol.amp_h * envelope,
-        v_plane=pol.amp_v * envelope,
-        space=Space.POSITION,
-    )
-
-
 def factored_gaussian(grid: GridSpec, sigma_mm: float, pol: QubitState) -> FactoredField:
-    """init_gaussian's beam as one rank-1 factor, normalized the same way."""
+    """Centered Gaussian beam of intensity width sigma in the given polarization,
+    as one rank-1 factor normalized on the pixel area."""
     _check_beam(grid, sigma_mm)
     x, y = position_coords(grid)
     cols = np.exp(-(x[None, :] ** 2) / (4.0 * sigma_mm**2))
     rows = np.exp(-(y[None, :] ** 2) / (4.0 * sigma_mm**2))
     scale = 1.0 / np.sqrt((cols**2).sum() * (rows**2).sum() * grid.pixel_area_mm2)
     return FactoredField(grid, np.array([[pol.amp_h, pol.amp_v]]) * scale, rows, cols)
+
+
+def planes(field: FactoredField) -> PolarizedField:
+    """The factored field's position-space H and V planes,
+    rows^T diag(pol[:, h|v]) cols: the one place factors become ny x nx planes."""
+    h_plane, v_plane = ((field.rows.T * field.pol[:, p]) @ field.cols for p in (0, 1))
+    return PolarizedField(field.grid, h_plane, v_plane, Space.POSITION)
+
+
+def init_gaussian(grid: GridSpec, sigma_mm: float, pol: QubitState) -> PolarizedField:
+    """factored_gaussian's beam as full planes."""
+    return planes(factored_gaussian(grid, sigma_mm, pol))
 
 
 def _centered_forward(plane: np.ndarray) -> np.ndarray:

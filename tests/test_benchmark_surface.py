@@ -1,0 +1,62 @@
+"""The benchmark in seqbench/ looks seqweak's functions up by name; these
+checks keep every name it traces or calls present in the package, so a
+change under src/ cannot break the benchmark without failing here."""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SEQBENCH = Path(__file__).resolve().parents[1] / "seqbench"
+
+pytestmark = pytest.mark.skipif(not SEQBENCH.is_dir(), reason="no seqbench/ in this checkout")
+
+
+def load_tracing():
+    """seqbench/tracing.py uses only the standard library; load it by path."""
+    spec = importlib.util.spec_from_file_location("seqbench_tracing", SEQBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def relay_grid_names():
+    """The seqweak.grid attributes the harness's lib.relay op uses, split into
+    the ones it calls and the ones it only reads."""
+    tree = ast.parse((SEQBENCH / "harness.py").read_text(encoding="utf-8"))
+    branches = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and "lib.relay" in ast.unparse(node.test)
+    ]
+    assert len(branches) == 1
+    called, read = set(), set()
+    for node in ast.walk(branches[0]):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "grid":
+            read.add(node.attr)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if isinstance(node.func.value, ast.Name) and node.func.value.id == "grid":
+                called.add(node.func.attr)
+    return called, read - called
+
+
+def test_every_traced_name_is_a_callable_of_its_module():
+    traced = load_tracing().TRACED
+    assert traced
+    for module_name, functions in traced.items():
+        module = importlib.import_module(f"seqweak.{module_name}")
+        for function in functions:
+            assert callable(getattr(module, function, None)), f"seqweak.{module_name}.{function}"
+
+
+def test_every_name_the_relay_op_uses_is_in_the_grid_module():
+    from seqweak import grid
+
+    called, read = relay_grid_names()
+    assert {"init_gaussian", "fourier_lens", "apply_slm_mask", "apply_conditional_shift"} <= called
+    for name in called:
+        assert callable(getattr(grid, name, None)), f"seqweak.grid.{name}"
+    for name in read:
+        assert hasattr(grid, name), f"seqweak.grid.{name}"

@@ -504,8 +504,9 @@ def test_verify_fast_all_pass(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
-def test_verify_corrupted_calibration_fails(capsys):
-    rc = main(["verify", "--fast", "--slm-k", "0.03"])
+def test_verify_corrupted_calibration_fails(capsys, monkeypatch):
+    monkeypatch.setattr("seqweak.acceptance.SLM_MM_PER_UNIT", 0.03)
+    rc = main(["verify", "--fast"])
     captured = capsys.readouterr()
     assert rc == 5
     fail_lines = [line for line in captured.out.splitlines() if line.startswith("FAIL")]

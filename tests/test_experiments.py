@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from test_grid import run_grid_chain
 from test_pointer import run_chain
 
-from seqweak import experiments
+from seqweak import experiments, grid
 from seqweak.errors import GridTooCoarse, NoInteriorExtremum, NoSignChange, SweepEngineError
 from seqweak.experiments import (
     CSV_HEADER,
@@ -30,7 +30,7 @@ from seqweak.experiments import (
     weak_limit_ratio,
     write_metadata,
 )
-from seqweak.grid import GridSpec, discrete_means, factored_gaussian, intensity
+from seqweak.grid import GridSpec, discrete_means, factored_gaussian, intensity, render_pgm
 from seqweak.pointer import (
     Axis,
     DeflectionTriple,
@@ -199,6 +199,10 @@ def joint_reading(triples):
 # bound stated before it was measured (at most 4.2e-16 over the three trains,
 # three widths and five couplings at 256^2 and 1024^2).
 DENSE_AGREEMENT = 1e-15
+# The image runs the factored train and forms its planes at the readout; its
+# pixels match the dense chain's within this bound, stated before it was
+# measured, relative to the brightest pixel.
+IMAGE_AGREEMENT = 1e-14
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -223,8 +227,9 @@ def test_train_equals_hand_written_chain(kind, prep_deg, mid_deg, sigma, delta):
     assert got.y_mm == pytest.approx(want.y_mm, rel=0.0, abs=DENSE_AGREEMENT)
     assert got.xy_mm2 == pytest.approx(want.xy_mm2, rel=0.0, abs=DENSE_AGREEMENT)
     if kind is not ScenarioKind.TWO_QUBIT:
-        image = scenario_intensity_image(scenario, delta, GRID)
-        assert np.array_equal(image.values, intensity(fields[0]).values)
+        image, dense = scenario_intensity_image(scenario, delta, GRID), intensity(fields[0])
+        assert np.abs(image.values - dense.values).max() <= IMAGE_AGREEMENT * dense.values.max()
+        assert render_pgm(image) == render_pgm(dense)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -261,7 +266,8 @@ def test_grid_sweep_never_forms_a_plane(monkeypatch):
         raise AssertionError("a sweep must not form a full plane")
 
     monkeypatch.setattr("seqweak.grid.init_gaussian", refuse)
-    monkeypatch.setattr(experiments, "init_gaussian", refuse)
+    monkeypatch.setattr("seqweak.grid.planes", refuse)
+    monkeypatch.setattr(experiments, "planes", refuse)
     huge = GridSpec(65536, 65536, 13.5)
     for kind in ALL_KINDS:
         records = run_sweep(SweepSpec(Scenario(kind=kind), 0.0, 0.711, 4, engines=BOTH, grid=huge))
@@ -270,6 +276,25 @@ def test_grid_sweep_never_forms_a_plane(monkeypatch):
             assert abs(r.grid.x_mm - r.analytic.x_mm) <= 1e-3
             assert abs(r.grid.y_mm - r.analytic.y_mm) <= 1e-3
             assert r.xy_discrepancy_mm2 <= 1e-4
+
+
+@pytest.mark.parametrize("kind", [ScenarioKind.SEQUENTIAL, ScenarioKind.SINGLE])
+def test_image_forms_its_planes_once_at_the_readout(kind, monkeypatch):
+    formed = []
+
+    def counting(field):
+        formed.append(len(field.pol))
+        return grid.planes(field)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the image runs the factored train")
+
+    monkeypatch.setattr(experiments, "planes", counting)
+    for dense in ("init_gaussian", "apply_polarization_unitary", "apply_conditional_shift"):
+        monkeypatch.setattr(grid, dense, refuse)
+    image = scenario_intensity_image(Scenario(kind=kind), 0.3, GRID)
+    assert formed == [4 if kind is ScenarioKind.SEQUENTIAL else 2]
+    assert image.values.shape == (GRID.ny, GRID.nx)
 
 
 def test_preparation_failure_carries_first_delta():

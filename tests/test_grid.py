@@ -35,6 +35,7 @@ from seqweak.grid import (
     fourier_lens,
     init_gaussian,
     intensity,
+    planes,
     position_coords,
     render_pgm,
     render_raw,
@@ -379,11 +380,6 @@ def test_render_raw_round_trip():
     assert np.array_equal(payload, image.values)
 
 
-def factored_planes(field):
-    """The H and V planes a factored field stands for, formed in full."""
-    return [(field.rows.T * field.pol[:, p]) @ field.cols for p in (0, 1)]
-
-
 def random_chain(rng, count):
     """Random complex 2x2 unitaries (not symmetric, unlike a half-wave plate)
     and shifts of either sign along random axes."""
@@ -412,9 +408,9 @@ def test_factored_engine_matches_dense_planes(seed):
         else:
             dense = apply_polarization_unitary(dense, element)
             factored = apply_factored_unitary(factored, element)
-    h, v = factored_planes(factored)
-    assert np.abs(h - dense.h_plane).max() <= 1e-14
-    assert np.abs(v - dense.v_plane).max() <= 1e-14
+    formed = planes(factored)
+    assert np.abs(formed.h_plane - dense.h_plane).max() <= 1e-14
+    assert np.abs(formed.v_plane - dense.v_plane).max() <= 1e-14
     got, want = factored_means(factored), discrete_means(intensity(dense))
     for a, b in zip((got.x_mm, got.y_mm, got.xy_mm2), (want.x_mm, want.y_mm, want.xy_mm2)):
         assert a == pytest.approx(b, abs=1e-15)
