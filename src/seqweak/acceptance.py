@@ -29,10 +29,11 @@ from .experiments import (
 from .grid import (
     SLM_MM_PER_UNIT,
     GridSpec,
-    apply_conditional_shift,
+    apply_factored_shift,
     apply_slm_mask,
+    factored_gaussian,
     fourier_lens,
-    init_gaussian,
+    planes,
     position_coords,
 )
 from .pointer import Axis, anomaly_threshold, bisect, closed_form_sequential
@@ -276,12 +277,13 @@ def check_calculus_agreement() -> CheckResult:
 def check_slm_calibration() -> CheckResult:
     def body():
         alpha = 10
-        field = init_gaussian(COARSE_GRID, DEFAULT_SIGMA_MM, PLUS_SIXTY)
-        routed = fourier_lens(field)
+        beam = factored_gaussian(COARSE_GRID, DEFAULT_SIGMA_MM, PLUS_SIXTY)
+        routed = fourier_lens(planes(beam))
         routed = apply_slm_mask(routed, alpha, Axis.X)
         for _ in range(3):
             routed = fourier_lens(routed)
-        shifted = apply_conditional_shift(field, SLM_MM_PER_UNIT * alpha, Axis.X)
+        # The shift every sweep and image runs: on factors, formed into planes.
+        shifted = planes(apply_factored_shift(beam, SLM_MM_PER_UNIT * alpha, Axis.X))
         deviation = max(
             float(np.abs(routed.h_plane - shifted.h_plane).max()),
             float(np.abs(routed.v_plane - shifted.v_plane).max()),

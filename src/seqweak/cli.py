@@ -4,6 +4,12 @@ Exit codes are a stable contract: 0 success, 2 usage error, 3 undefined weak
 value (orthogonal post-selection), 4 engine failure, 5 verification failure.
 Lengths require an explicit mm or um suffix; the delta-range endpoints are
 plain numbers in mm.
+
+argparse checks each flag's text, so a malformed flag exits 2 even where the
+selected engine ignores it; the spec classes check the values together.  A
+--config file's lines become --key=value flags placed before the command
+line's own; argparse keeps the last value it sees, so flags beat the file,
+the file beats the defaults, and values from the file get the same checks.
 """
 
 from __future__ import annotations
@@ -42,18 +48,15 @@ from .qubit import (
 )
 
 NAMED_STATES = {"H": HORIZONTAL, "V": VERTICAL, "a1": PLUS_SIXTY, "a2": MINUS_SIXTY}
-DEFAULT_DELTA_RANGE = "0:0.711:31"
-DEFAULT_GRID_SIDE = "256"
-DEFAULT_PIXEL = "13.5um"
+ENGINES = {
+    "analytic": frozenset({Engine.ANALYTIC}),
+    "grid": frozenset({Engine.GRID}),
+    "both": frozenset({Engine.ANALYTIC, Engine.GRID}),
+}
+
 
 class UsageError(Exception):
     """Bad flag or config value; maps to exit code 2."""
-
-
-def _require(value, flag):
-    if value is None:
-        raise UsageError(f"{flag} is required")
-    return value
 
 
 def parse_length_mm(text: str, flag: str) -> float:
@@ -121,6 +124,26 @@ def parse_observable(text: str, flag: str) -> Observable:
         raise UsageError(f"{flag}: {exc}") from None
 
 
+def parse_delta_range(text: str, flag: str) -> tuple[float, float, int]:
+    """start:stop:steps with the endpoints in mm; SweepSpec checks the values."""
+    try:
+        start, stop, steps = text.split(":")
+        return float(start), float(stop), int(steps)
+    except ValueError:  # not three parts, or a malformed number
+        raise UsageError(f"{flag} must be start:stop:steps, got {text!r}") from None
+
+
+def parse_count(text: str, flag: str) -> int:
+    """A nonnegative integer: a grid side or a grating strength."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise UsageError(f"{flag} must be a nonnegative integer, got {text!r}")
+    return count
+
+
 def _fmt(value: float) -> str:
     rounded = round(float(value), 12)
     if rounded == 0.0:
@@ -134,24 +157,23 @@ def format_complex(value: complex) -> str:
     return f"{_fmt(value.real)}{sign}{_fmt(abs(value.imag))}i"
 
 
-def _parse_bool(text: str, key: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise UsageError(f"config key {key!r} must be a boolean, got {text!r}")
-
-
-def _overlay_config(args) -> None:
-    """Fill unset flags from the config file; flags win over the file."""
-    if getattr(args, "config", None) is None:
-        return
-    path = Path(args.config)
+def _with_config(argv: list[str], config_keys: dict[str, dict]) -> list[str]:
+    """argv with the --config file's key = value lines as --key=value flags
+    right after the subcommand, ahead of the command line's own flags, which
+    argparse reads later and so keeps.  The keys are the subcommand's long
+    flags without the --; a switch takes a boolean and is given bare when true."""
+    path = None
+    for i, arg in enumerate(argv):
+        name, eq, value = arg.partition("=")
+        if len(name) > 2 and "--config".startswith(name):  # argparse also takes a prefix
+            path = value if eq else (argv[i + 1] if i + 1 < len(argv) else None)
+    if path is None or argv[0] not in config_keys:
+        return argv
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
+    flags = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -159,47 +181,39 @@ def _overlay_config(args) -> None:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in args.config_keys:
+        action = config_keys[argv[0]].get(key)
+        if action is None:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        dest = key.replace("-", "_")
-        if getattr(args, dest) is None:
-            setattr(args, dest, _parse_bool(value, key) if key == "fast" else value)
+        if action.nargs != 0:
+            flags.append(f"--{key}={value}")
+        elif value.lower() in ("1", "true", "yes", "on"):
+            flags.append(f"--{key}")
+        elif value.lower() not in ("0", "false", "no", "off"):
+            raise UsageError(f"{path}:{lineno}: {key} must be a boolean, got {value!r}")
+    return argv[:1] + flags + argv[1:]
 
 
-def _grid_from_args(args) -> GridSpec:
-    size_text = args.grid_size or DEFAULT_GRID_SIDE
+def _scenario_and_grid(args, kind, with_grid: bool) -> tuple[Scenario, GridSpec | None]:
+    sigma_mm = DEFAULT_SIGMA_MM if args.sigma is None else args.sigma
     try:
-        side = int(size_text)
-    except ValueError:
-        raise UsageError(f"--grid-size must be an integer, got {size_text!r}") from None
-    pixel_mm = parse_length_mm(args.pixel or DEFAULT_PIXEL, "--pixel")
-    try:
-        return GridSpec(side, side, pixel_mm * 1e3)
+        grid = GridSpec(args.grid_size, args.grid_size, args.pixel * 1e3) if with_grid else None
+        return Scenario(kind, sigma_mm=sigma_mm), grid
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
-def _sigma_from_args(args) -> tuple[float, str]:
-    if args.sigma is None:
-        return DEFAULT_SIGMA_MM, "derived"
-    return parse_length_mm(args.sigma, "--sigma"), "user"
-
-
 def cmd_weak_value(args) -> int:
-    pre = parse_state(_require(args.pre, "--pre"), "--pre")
-    sequential = args.first is not None or args.second is not None
     postselected = args.post is not None or args.a is not None
-    if sequential and postselected:
+    if postselected and (args.first is not None or args.second is not None):
         raise UsageError("give either --first/--second or --post/--a, not both")
+    for flag in ("--post", "--a") if postselected else ("--first", "--second"):
+        if getattr(args, flag[2:]) is None:
+            raise UsageError(f"{flag} is required")
     if postselected:
-        post = parse_state(_require(args.post, "--post"), "--post")
-        observable = parse_observable(_require(args.a, "--a"), "--a")
-        value = weak_value(pre, post, observable)
-        lo, hi = observable.eigenvalues()
+        value = weak_value(args.pre, args.post, args.a)
+        lo, hi = args.a.eigenvalues()
     else:
-        first = parse_observable(_require(args.first, "--first"), "--first")
-        second = parse_observable(_require(args.second, "--second"), "--second")
-        result = sequential_weak_value(pre, first, second)
+        result = sequential_weak_value(args.pre, args.first, args.second)
         value, (lo, hi) = result.value, result.interval
     verdict = "ANOMALOUS" if is_anomalous(value, lo, hi) else "not anomalous"
     print(f"value = {format_complex(value)}  interval=[{_fmt(lo)},{_fmt(hi)}]  {verdict}")
@@ -207,89 +221,39 @@ def cmd_weak_value(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    out = Path(_require(args.out, "--out"))
-    kinds = {kind.value: kind for kind in ScenarioKind}
-    scenario_key = args.scenario or ScenarioKind.SEQUENTIAL.value
-    if scenario_key not in kinds:
-        raise UsageError(f"--scenario must be one of {sorted(kinds)}, got {scenario_key!r}")
-    sigma_mm, provenance = _sigma_from_args(args)
-
-    range_text = args.delta_range or DEFAULT_DELTA_RANGE
-    parts = range_text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"--delta-range must be start:stop:steps, got {range_text!r}")
+    engines = ENGINES[args.engine]
+    scenario, grid = _scenario_and_grid(args, ScenarioKind(args.scenario), Engine.GRID in engines)
     try:
-        start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise UsageError(f"--delta-range must be start:stop:steps, got {range_text!r}") from None
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise UsageError(f"--delta-range endpoints must be finite, got {range_text!r}")
-
-    engine_sets = {
-        "analytic": frozenset({Engine.ANALYTIC}),
-        "grid": frozenset({Engine.GRID}),
-        "both": frozenset({Engine.ANALYTIC, Engine.GRID}),
-    }
-    engine_key = args.engine or "analytic"
-    if engine_key not in engine_sets:
-        raise UsageError(f"--engine must be one of {sorted(engine_sets)}, got {engine_key!r}")
-    engines = engine_sets[engine_key]
-    grid = _grid_from_args(args) if Engine.GRID in engines else None
-
-    try:
-        spec = SweepSpec(
-            scenario=Scenario(kinds[scenario_key], sigma_mm=sigma_mm),
-            delta_start_mm=start,
-            delta_stop_mm=stop,
-            steps=steps,
-            engines=engines,
-            grid=grid,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        spec = SweepSpec(scenario, *args.delta_range, engines=engines, grid=grid)
+    except ValueError as exc:  # the coupling range is all that is left to check
+        raise UsageError(f"--delta-range: {exc}") from None
 
     records = run_sweep(spec)
-    export_csv(records, out)
-    write_metadata(spec, Path(str(out) + ".meta"), sigma_provenance=provenance)
-    print(f"wrote {len(records)} rows to {out}")
+    export_csv(records, args.out)
+    provenance = "derived" if args.sigma is None else "user"
+    write_metadata(spec, Path(f"{args.out}.meta"), sigma_provenance=provenance)
+    print(f"wrote {len(records)} rows to {args.out}")
     return 0
 
 
 def cmd_image(args) -> int:
-    out = Path(_require(args.out, "--out"))
-    if (args.delta is None) == (args.alpha is None):
-        raise UsageError("give exactly one of --delta or --alpha")
-    if args.alpha is not None:
-        try:
-            alpha = int(args.alpha)
-        except ValueError:
-            raise UsageError(f"--alpha must be a nonnegative integer, got {args.alpha!r}") from None
-        if alpha < 0:
-            raise UsageError(f"--alpha must be a nonnegative integer, got {args.alpha!r}")
-        delta_mm = SLM_MM_PER_UNIT * alpha
-    else:
-        delta_mm = parse_length_mm(args.delta, "--delta")
-    sigma_mm, _ = _sigma_from_args(args)
-    grid = _grid_from_args(args)
-    try:
-        scenario = Scenario(ScenarioKind.SEQUENTIAL, sigma_mm=sigma_mm)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    scenario, grid = _scenario_and_grid(args, ScenarioKind.SEQUENTIAL, with_grid=True)
+    delta_mm = args.delta if args.alpha is None else SLM_MM_PER_UNIT * args.alpha
     image = scenario_intensity_image(scenario, delta_mm, grid)
 
-    out.write_bytes(render_pgm(image))
+    args.out.write_bytes(render_pgm(image))
     if args.raw is not None:
-        Path(args.raw).write_bytes(render_raw(image))
+        args.raw.write_bytes(render_raw(image))
     means = discrete_means(image)
     print(
-        f"wrote {grid.nx}x{grid.ny} image to {out}  "
+        f"wrote {grid.nx}x{grid.ny} image to {args.out}  "
         f"means: x = {means.x_mm:.6g} mm, y = {means.y_mm:.6g} mm"
     )
     return 0
 
 
 def cmd_verify(args) -> int:
-    results = run_all_checks(fast=bool(args.fast))
+    results = run_all_checks(fast=args.fast)
     width = max(len(result.name) for result in results)
     for result in results:
         verdict = "PASS" if result.passed else "FAIL"
@@ -303,65 +267,77 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every flag, declared once; a subcommand's long flags are also its config keys."""
     parser = argparse.ArgumentParser(
         prog="seqweak",
         description="Sequential weak measurement simulator: anomalous joint "
         "deflections without post-selection.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    config_keys = {}
 
-    def add_config(sub, keys):
-        sub.add_argument("--config", help="key = value file filling in unset flags")
-        sub.set_defaults(config_keys=frozenset(keys))
+    def command(name, func, summary):
+        """A subcommand, and a function that declares its flags and config keys."""
+        sub = commands.add_parser(name, help=summary)
+        sub.add_argument("--config", help="file of key = value lines, read as flags given first")
+        sub.set_defaults(func=func)
+        keys = config_keys[name] = {}
 
-    wv = commands.add_parser("weak-value", help="evaluate a weak value and its anomaly verdict")
-    wv.add_argument("--pre", help="pre-selected state: H, V, a1, a2, or re+imi,re+imi")
-    wv.add_argument("--first", help="first-coupled observable: proj:<state> or 4 entries")
-    wv.add_argument("--second", help="second-coupled observable")
-    wv.add_argument("--post", help="post-selected state (with --a)")
-    wv.add_argument("--a", help="observable for the post-selected mode")
-    add_config(wv, {"pre", "first", "second", "post", "a"})
-    wv.set_defaults(func=cmd_weak_value)
+        def flag(name, parse=None, owner=sub, **options):
+            # argparse handles only ValueError, TypeError and ArgumentTypeError
+            # from a type, so a parse_* helper's UsageError reaches main.
+            if parse is not None:
+                options["type"] = lambda text: parse(text, name)
+            keys[name[2:]] = owner.add_argument(name, **options)
 
-    sweep = commands.add_parser("sweep", help="sweep the coupling strength and export CSV")
-    sweep.add_argument("--scenario", help="sequential, two-qubit, or single (default sequential)")
-    sweep.add_argument("--sigma", help="beam width with unit suffix (default 0.1116mm, derived)")
-    sweep.add_argument("--delta-range", help="start:stop:steps in mm (default 0:0.711:31)")
-    sweep.add_argument("--engine", help="analytic, grid, or both (default analytic)")
-    sweep.add_argument("--grid-size", help="grid side for the grid engine (default 256)")
-    sweep.add_argument("--pixel", help="pixel pitch with unit suffix (default 13.5um)")
-    sweep.add_argument("--out", help="destination CSV path")
-    add_config(sweep, {"scenario", "sigma", "delta-range", "engine", "grid-size", "pixel", "out"})
-    sweep.set_defaults(func=cmd_sweep)
+        return sub, flag
 
-    image = commands.add_parser("image", help="render the detected intensity as a 16-bit PGM")
-    image.add_argument("--delta", help="coupling strength with unit suffix")
-    image.add_argument("--alpha", help="grating strength; converts at 0.0237 mm per unit")
-    image.add_argument("--sigma", help="beam width with unit suffix (default 0.1116mm)")
-    image.add_argument("--grid-size", help="grid side (default 256)")
-    image.add_argument("--pixel", help="pixel pitch with unit suffix (default 13.5um)")
-    image.add_argument("--out", help="destination PGM path")
-    image.add_argument("--raw", help="optional raw float64 dump path")
-    add_config(image, {"delta", "alpha", "sigma", "grid-size", "pixel", "out", "raw"})
-    image.set_defaults(func=cmd_image)
+    _, weak = command("weak-value", cmd_weak_value, "evaluate a weak value and its anomaly verdict")
+    weak("--pre", parse_state, required=True,
+         help="pre-selected state: H, V, a1, a2, or re+imi,re+imi")
+    weak("--first", parse_observable, help="first-coupled observable: proj:<state> or 4 entries")
+    weak("--second", parse_observable, help="second-coupled observable")
+    weak("--post", parse_state, help="post-selected state (with --a)")
+    weak("--a", parse_observable, help="observable for the post-selected mode")
 
-    verify = commands.add_parser("verify", help="run the self-verification checks")
-    verify.add_argument("--fast", action="store_true", default=None, help="shrink the grids")
-    add_config(verify, {"fast"})
-    verify.set_defaults(func=cmd_verify)
+    _, sweep = command("sweep", cmd_sweep, "sweep the coupling strength and export CSV")
+    sweep("--scenario", choices=[kind.value for kind in ScenarioKind], default="sequential",
+          help="optical train (default sequential)")
+    sweep("--delta-range", parse_delta_range, default="0:0.711:31",
+          help="start:stop:steps in mm (default 0:0.711:31)")
+    sweep("--engine", choices=ENGINES, default="analytic", help="engines to run (default analytic)")
+    sweep("--out", required=True, type=Path, help="destination CSV path")
 
+    sub, image = command("image", cmd_image, "render the detected intensity as a 16-bit PGM")
+    shift = sub.add_mutually_exclusive_group(required=True)
+    image("--delta", parse_length_mm, owner=shift, help="coupling strength with unit suffix")
+    image("--alpha", parse_count, owner=shift,
+          help="grating strength; converts at 0.0237 mm per unit")
+    image("--out", required=True, type=Path, help="destination PGM path")
+    image("--raw", type=Path, help="optional raw float64 dump path")
+
+    for flag in (sweep, image):
+        flag("--sigma", parse_length_mm,
+             help="beam width with unit suffix (default 0.1116mm, derived)")
+        flag("--grid-size", parse_count, default=256, help="grid side (default 256)")
+        flag("--pixel", parse_length_mm, default="13.5um",
+             help="pixel pitch with unit suffix (default 13.5um)")
+
+    _, verify = command("verify", cmd_verify, "run the self-verification checks")
+    verify("--fast", action="store_true", help="shrink the grids")
+
+    parser.set_defaults(config_keys=config_keys)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        _overlay_config(args)
+        args = parser.parse_args(_with_config(argv, parser.get_default("config_keys")))
         return args.func(args)
+    except SystemExit as exc:  # argparse has printed its message
+        return exc.code if isinstance(exc.code, int) else 2
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

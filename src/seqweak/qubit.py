@@ -120,6 +120,8 @@ def waveplate_hwp(theta_deg: float) -> Observable:
     Returns [[cos 2t, sin 2t], [sin 2t, -cos 2t]]: Hermitian, unitary, and
     involutory, so it doubles as an observable with eigenvalues +-1.
     """
+    if not math.isfinite(theta_deg):
+        raise ValueError(f"plate angle must be finite, got {theta_deg!r}")
     two_theta = 2.0 * np.deg2rad(theta_deg)
     c, s = np.cos(two_theta), np.sin(two_theta)
     return Observable(np.array([[c, s], [s, -c]]))

@@ -5,6 +5,7 @@ change under src/ cannot break the benchmark without failing here."""
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,12 +15,18 @@ SEQBENCH = Path(__file__).resolve().parents[1] / "seqbench"
 pytestmark = pytest.mark.skipif(not SEQBENCH.is_dir(), reason="no seqbench/ in this checkout")
 
 
-def load_tracing():
-    """seqbench/tracing.py uses only the standard library; load it by path."""
-    spec = importlib.util.spec_from_file_location("seqbench_tracing", SEQBENCH / "tracing.py")
+def load_seqbench(name):
+    """A seqbench module that uses only the standard library (tracing,
+    workloads), loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"seqbench_{name}", SEQBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_seqbench("tracing")
 
 
 def relay_grid_names():
@@ -60,3 +67,23 @@ def test_every_name_the_relay_op_uses_is_in_the_grid_module():
         assert callable(getattr(grid, name, None)), f"seqweak.grid.{name}"
     for name in read:
         assert hasattr(grid, name), f"seqweak.grid.{name}"
+
+
+def test_every_cli_argv_of_the_benchmark_runs(tmp_path, capsys):
+    # The first round of each workload at seed 1, with output paths filled in
+    # the way harness.Runner.run fills them: it pins the argv forms the
+    # benchmark sends, such as --pre=..., --a=-1.2,... and um lengths.
+    from seqweak.cli import main
+
+    workloads = load_seqbench("workloads")
+    files = {"csv": tmp_path / "sweep.csv", "pgm": tmp_path / "image.pgm", "raw": tmp_path / "image.raw"}
+    ops = [
+        op
+        for name in workloads.ROUND_BUILDERS
+        for op in next(workloads.rounds(name, 1))
+        if op.kind.startswith("cli.")
+    ]
+    assert len(ops) == 22
+    for op in ops:
+        argv = [arg.format(**files) for arg in op.argv]
+        assert main(argv) == 0, (argv, capsys.readouterr().err)

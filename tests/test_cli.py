@@ -620,3 +620,82 @@ def test_console_script_installed():
         )
         assert proc.returncode == 3
         assert "orthogonal" in proc.stderr
+
+
+def write_config(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="ascii")
+    return str(cfg)
+
+
+def test_config_file_supplies_required_flags(tmp_path, capsys):
+    # Required flags are checked after the file is read, not before.
+    csv, pgm = tmp_path / "c.csv", tmp_path / "i.pgm"
+    cfg = write_config(tmp_path, f"out = {csv}\ndelta-range = 0:0.3:3\n")
+    assert main(["sweep", "--config", cfg]) == 0
+    assert len(read_csv_rows(csv)[1]) == 3
+    cfg = write_config(tmp_path, f"out = {pgm}\ndelta = 0.1mm\ngrid-size = 64\n")
+    assert main(["image", "--config", cfg]) == 0
+    assert pgm.read_bytes().startswith(b"P5\n64 64\n")
+    cfg = write_config(tmp_path, "pre = a1\n")
+    assert main(["weak-value", "--config", cfg, "--first", "proj:H", "--second", "proj:a2"]) == 0
+    assert capsys.readouterr().out.endswith("value = -0.125+0i  interval=[0,1]  ANOMALOUS\n")
+
+
+def test_config_file_fast_takes_a_boolean(tmp_path, capsys, monkeypatch):
+    from seqweak.acceptance import CheckResult
+
+    seen = []
+
+    def checks(fast):
+        seen.append(fast)
+        return [CheckResult("stub", True, "ok", 0.0)]
+
+    monkeypatch.setattr("seqweak.cli.run_all_checks", checks)
+    assert main(["verify", "--config", write_config(tmp_path, "fast = false\n")]) == 0
+    assert main(["verify", "--config", write_config(tmp_path, "fast = yes\n")]) == 0
+    assert seen == [False, True]
+    capsys.readouterr()
+    assert main(["verify", "--config", write_config(tmp_path, "fast = maybe\n")]) == 2
+    assert "fast" in capsys.readouterr().err
+    assert seen == [False, True]
+
+
+def test_config_file_errors_name_the_file(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    cfg = write_config(tmp_path, "# comment\nsigma 0.2mm\n")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 2
+    assert f"{cfg}:2" in capsys.readouterr().err
+    missing = str(tmp_path / "missing.cfg")
+    assert main(["sweep", "--config", missing, "--out", out]) == 2
+    assert missing in capsys.readouterr().err
+    cfg = write_config(tmp_path, "sigma = 0.1\n")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 2
+    assert "--sigma" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [Path(cfg)]
+
+
+def test_config_file_engine_loses_to_the_flag(tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    cfg = write_config(tmp_path, "engine = both\n")
+    argv = ["sweep", "--config", cfg, "--engine", "analytic", "--delta-range", "0:0.3:3", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert read_meta(tmp_path / "e.csv.meta")["engines"] == "analytic"
+    assert read_meta(tmp_path / "e.csv.meta")["grid"] == ""
+
+
+@pytest.mark.parametrize("flag, value", [("--grid-size", "abc"), ("--pixel", "bogus")])
+def test_malformed_grid_flag_exits_2_when_the_engine_ignores_it(tmp_path, capsys, flag, value):
+    out = tmp_path / "a.csv"
+    assert main(["sweep", "--engine", "analytic", flag, value, "--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_file_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("sigma = 200\xb5m\n".encode("latin-1"))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert str(cfg) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]

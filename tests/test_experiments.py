@@ -1,6 +1,7 @@
 """Checks for the sweep harness, calibration helpers, and CSV export."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from seqweak.pointer import (
     max_reversal_delta,
     moments,
 )
+from seqweak.qubit import waveplate_hwp
 
 GRID = GridSpec(256, 256, 13.5)
 BOTH = frozenset({Engine.ANALYTIC, Engine.GRID})
@@ -432,3 +434,14 @@ def test_sweep_record_equality_support():
         grid=None,
         xy_discrepancy_mm2=None,
     )
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_non_finite_plate_angle_is_refused_before_the_trigonometry(angle):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="plate angle must be finite"):
+            waveplate_hwp(angle)
+        for angles in ({"prep_angle_deg": angle}, {"mid_angle_deg": angle}):
+            with pytest.raises(ValueError, match="plate angle must be finite"):
+                Scenario(ScenarioKind.SEQUENTIAL, **angles)
