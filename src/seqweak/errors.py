@@ -13,6 +13,10 @@ class NonUnitary(SimulationError):
     """A matrix passed as a polarization unitary deviates from unitarity beyond tolerance."""
 
 
+class OutOfFloatRange(SimulationError):
+    """A calculus kernel's squared width or shift leaves the double-precision range."""
+
+
 class WrongSpace(SimulationError):
     """A grid operation was applied in the wrong representation (position vs momentum)."""
 

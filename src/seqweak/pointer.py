@@ -1,8 +1,8 @@
 """Exact pointer calculus for Gaussian beams under polarization-conditioned shifts.
 
-A pointer state is a finite superposition of shifted 2-D Gaussians, one
-polarization label per term, all sharing one transverse width.  Amplitudes
-follow the convention
+A pointer state is a finite superposition of shifted 2-D Gaussians, all
+sharing one transverse width; each term carries its (H, V) polarization
+amplitudes, as the grid engine's factors do.  Amplitudes follow the convention
 
     phi_s(x) = (2 pi sigma^2)^(-1/4) exp(-(x - s)^2 / (4 sigma^2)),
 
@@ -24,17 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonUnitary
+from .errors import NonUnitary, OutOfFloatRange
 from .qubit import QubitState
 
 UNITARITY_TOL = 1e-10
-MERGE_SHIFT_TOL = 1e-12
-DROP_COEFF_TOL = 1e-14
-
-
-class Pol(enum.Enum):
-    H = 0
-    V = 1
 
 
 class Axis(enum.Enum):
@@ -43,20 +36,11 @@ class Axis(enum.Enum):
 
 
 @dataclass(frozen=True)
-class PointerTerm:
-    """One shifted Gaussian component with a polarization label."""
-
-    coeff: complex
-    shift_x: float
-    shift_y: float
-    pol: Pol
-
-
-@dataclass(frozen=True)
 class GaussianSuperposition:
-    """Finite superposition of polarization-labelled shifted Gaussians."""
+    """Finite superposition of shifted Gaussians; each term is a tuple
+    (h, v, shift_x, shift_y) of its H and V amplitudes and its shift."""
 
-    terms: tuple[PointerTerm, ...]
+    terms: tuple[tuple[complex, complex, float, float], ...]
 
     def __post_init__(self):
         if not self.terms:
@@ -75,31 +59,26 @@ class DeflectionTriple:
 
 def initial_pointer_state(pol: QubitState) -> GaussianSuperposition:
     """Centered Gaussian carrying the given polarization."""
-    terms = []
-    for amp, label in ((pol.amp_h, Pol.H), (pol.amp_v, Pol.V)):
-        if abs(amp) > DROP_COEFF_TOL:
-            terms.append(PointerTerm(coeff=complex(amp), shift_x=0.0, shift_y=0.0, pol=label))
-    return GaussianSuperposition(terms=tuple(terms))
+    return GaussianSuperposition(terms=((pol.amp_h, pol.amp_v, 0.0, 0.0),))
 
 
 def apply_coupling(
     state: GaussianSuperposition, axis: Axis, delta: float
 ) -> GaussianSuperposition:
-    """Translate the H-labelled components by +delta along the given axis.
+    """Translate the H components by +delta along the given axis.
 
-    Implements exp(-i delta p (x) |H><H|): term count and norm are unchanged.
+    Implements exp(-i delta p (x) |H><H|), norm-preserving: each term splits
+    into its H part, which moves, followed by its V part, which stays.
     """
-    if delta < 0.0:
-        raise ValueError(f"coupling shift must be nonnegative, got {delta!r}")
-    moved = []
-    for term in state.terms:
-        if term.pol is Pol.H:
-            sx = term.shift_x + delta if axis is Axis.X else term.shift_x
-            sy = term.shift_y + delta if axis is Axis.Y else term.shift_y
-            moved.append(PointerTerm(term.coeff, sx, sy, term.pol))
-        else:
-            moved.append(term)
-    return GaussianSuperposition(terms=tuple(moved))
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"coupling shift must be finite and nonnegative, got {delta!r}")
+    if delta == 0.0:
+        return state
+    split = []
+    for h, v, sx, sy in state.terms:
+        moved = (sx + delta, sy) if axis is Axis.X else (sx, sy + delta)
+        split += [(h, 0j, *moved), (0j, v, sx, sy)]
+    return GaussianSuperposition(terms=tuple(split))
 
 
 def checked_unitary(u) -> tuple[complex, complex, complex, complex]:
@@ -129,53 +108,46 @@ def checked_unitary(u) -> tuple[complex, complex, complex, complex]:
 def apply_polarization(
     state: GaussianSuperposition, u: np.ndarray
 ) -> GaussianSuperposition:
-    """Apply a 2x2 polarization unitary, merging terms with matching shifts."""
+    """Mix the H and V amplitudes of every term with a 2x2 polarization unitary."""
     a, b, c, d = checked_unitary(u)
-    columns = ((a, c), (b, d))
-
-    merged: list[PointerTerm] = []
-
-    def add(coeff, sx, sy, pol):
-        for i, other in enumerate(merged):
-            if (
-                other.pol is pol
-                and abs(other.shift_x - sx) <= MERGE_SHIFT_TOL
-                and abs(other.shift_y - sy) <= MERGE_SHIFT_TOL
-            ):
-                merged[i] = PointerTerm(other.coeff + coeff, other.shift_x, other.shift_y, pol)
-                return
-        merged.append(PointerTerm(coeff, sx, sy, pol))
-
-    for term in state.terms:
-        to_h, to_v = columns[term.pol.value]
-        add(term.coeff * to_h, term.shift_x, term.shift_y, Pol.H)
-        add(term.coeff * to_v, term.shift_x, term.shift_y, Pol.V)
-
-    kept = tuple(t for t in merged if abs(t.coeff) > DROP_COEFF_TOL)
-    return GaussianSuperposition(terms=kept)
+    return GaussianSuperposition(
+        terms=tuple((a * h + b * v, c * h + d * v, sx, sy) for h, v, sx, sy in state.terms)
+    )
 
 
 def _pairwise_sums(state: GaussianSuperposition, sigma: float):
-    """<psi|psi>, <x>, <y> and <x y> sums over same-polarization term pairs.
+    """<psi|psi>, <x>, <y> and <x y> sums over same-polarization part pairs.
 
-    Each pair's two overlaps exp(-(a - b)^2 / (8 sigma^2)) come from one
-    np.exp call over all pairs, with the exponents built in Python floats;
-    the sums accumulate in Python complex in bra-major pair order.
+    Each term contributes its nonzero H and V parts, in term order.  Each
+    pair's two overlaps exp(-(a - b)^2 / (8 sigma^2)) come from one np.exp
+    call over all pairs, with the exponents built in Python floats; the sums
+    accumulate in Python complex in bra-major pair order.
     """
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
-    width = 8.0 * sigma**2
-    pairs = [(bra, ket) for bra in state.terms for ket in state.terms if bra.pol is ket.pol]
+    parts = [
+        (amp, sx, sy, pol)
+        for h, v, sx, sy in state.terms
+        for pol, amp in ((0, h), (1, v))
+        if amp
+    ]
+    pairs = [(bra, ket) for bra in parts for ket in parts if bra[3] == ket[3]]
     exponents = []
-    for bra, ket in pairs:
-        exponents.append(-((bra.shift_x - ket.shift_x) ** 2) / width)
-        exponents.append(-((bra.shift_y - ket.shift_y) ** 2) / width)
+    try:
+        width = 8.0 * sigma**2
+        for (_, ax, ay, _), (_, bx, by, _) in pairs:
+            exponents.append(-((ax - bx) ** 2) / width)
+            exponents.append(-((ay - by) ** 2) / width)
+    except ZeroDivisionError as exc:
+        raise OutOfFloatRange(f"kernel width 8 sigma^2 underflows at sigma = {sigma:g} mm") from exc
+    except OverflowError as exc:
+        raise OutOfFloatRange(f"a squared shift or width overflows at sigma = {sigma:g} mm") from exc
     damps = np.exp(exponents).tolist()
     norm = x_acc = y_acc = xy_acc = 0j
-    for (bra, ket), ox, oy in zip(pairs, damps[0::2], damps[1::2]):
-        w = bra.coeff.conjugate() * ket.coeff
-        fx = 0.5 * (bra.shift_x + ket.shift_x) * ox
-        fy = 0.5 * (bra.shift_y + ket.shift_y) * oy
+    for ((ca, ax, ay, _), (cb, bx, by, _)), ox, oy in zip(pairs, damps[0::2], damps[1::2]):
+        w = ca.conjugate() * cb
+        fx = 0.5 * (ax + bx) * ox
+        fy = 0.5 * (ay + by) * oy
         norm += w * ox * oy
         x_acc += w * fx * oy
         y_acc += w * ox * fy

@@ -301,6 +301,23 @@ def test_sweep_preparation_failure_exit_4_names_first_delta(tmp_path, capsys):
     assert "engine failure at delta = 0 mm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, cause",
+    [
+        (["--sigma", "1e-200mm"], "at delta = 0 mm: kernel width 8 sigma^2 underflows"),
+        (["--sigma", "1e200mm"], "at delta = 0 mm: a squared shift or width overflows"),
+        (["--delta-range", "0:1e200:3"], "at delta = 5e+199 mm: a squared shift or width"),
+        (["--delta-range", "0:1e160:3"], "at delta = 5e+159 mm: a squared shift or width"),
+        (["--engine", "grid", "--sigma", "1e200mm"], "at delta = 0 mm: grid extent cannot hold"),
+    ],
+)
+def test_sweep_outside_the_float_range_exit_4_names_delta(tmp_path, capsys, flags, cause):
+    out = tmp_path / "range.csv"
+    assert main(["sweep", *flags, "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith(f"error: engine failure {cause}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("message", ["Unable to allocate 32.0 GiB for an array", ""])
 def test_image_out_of_memory_exit_4(tmp_path, capsys, monkeypatch, message):
     # The refusal is patched in: no test allocates a 65536^2 plane.

@@ -40,7 +40,13 @@ from seqweak.grid import (
     render_pgm,
     render_raw,
 )
-from seqweak.pointer import Axis, closed_form_sequential
+from seqweak.pointer import (
+    Axis,
+    apply_coupling,
+    apply_polarization,
+    closed_form_sequential,
+    initial_pointer_state,
+)
 from seqweak.qubit import HORIZONTAL, PLUS_SIXTY, QubitState, waveplate_hwp
 
 GRID = GridSpec(nx=256, ny=256, pixel_um=13.5)
@@ -424,6 +430,32 @@ def test_factored_shift_splits_each_factor_once():
     assert [len(f.pol) for f in (beam, once, twice)] == [1, 2, 4]
     assert (once.rows.shape, once.cols.shape) == ((2, GRID.ny), (2, GRID.nx))
     assert np.array_equal(once.rows[0], beam.rows[0]) and np.array_equal(once.cols[1], beam.cols[0])
+
+
+def test_calculus_terms_are_the_grid_factors():
+    # Both engines run one algebra: after every element of the (25, -35) deg
+    # sequential train, the calculus's nonzero (h, v) pairs are the factored
+    # field's nonzero polarization rows, up to the beam's normalization.
+    state = initial_pointer_state(HORIZONTAL)
+    field = factored_gaussian(GRID, SIGMA, HORIZONTAL)
+    scale = field.pol[0, 0]
+    counts = []
+    for element in (25.0, Axis.X, -35.0, Axis.Y):
+        if isinstance(element, Axis):
+            state = apply_coupling(state, element, 0.2)
+            field = apply_factored_shift(field, 0.2, element)
+        else:
+            state = apply_polarization(state, waveplate_hwp(element))
+            field = apply_factored_unitary(field, waveplate_hwp(element))
+        calculus = [(h, v) for h, v, _, _ in state.terms if h or v]
+        rows = [row / scale for row in field.pol if row.any()]
+        assert len(calculus) == len(rows)
+        for h, v in calculus:
+            matches = [i for i, row in enumerate(rows) if np.abs(row - [h, v]).max() <= 1e-12]
+            assert matches, (h, v)
+            rows.pop(matches[0])
+        counts.append(len(calculus))
+    assert counts == [1, 2, 2, 4]
 
 
 def test_factored_means_of_an_empty_field():
