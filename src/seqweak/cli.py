@@ -15,6 +15,7 @@ the file beats the defaults, and values from the file get the same checks.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -29,6 +30,7 @@ from .experiments import (
     Scenario,
     ScenarioKind,
     SweepSpec,
+    _format_number,
     export_csv,
     run_sweep,
     scenario_intensity_image,
@@ -145,11 +147,7 @@ def parse_count(text: str, flag: str) -> int:
 
 
 def _fmt(value: float) -> str:
-    rounded = round(float(value), 12)
-    if rounded == 0.0:
-        rounded = 0.0
-    text = repr(rounded)
-    return text[:-2] if text.endswith(".0") else text
+    return _format_number(round(float(value), 12) or 0.0)
 
 
 def format_complex(value: complex) -> str:
@@ -266,8 +264,10 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Every flag, declared once; a subcommand's long flags are also its config keys."""
+    """Every flag, declared once; a subcommand's long flags are also its config keys.
+    Built at the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="seqweak",
         description="Sequential weak measurement simulator: anomalous joint "

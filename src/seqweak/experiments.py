@@ -32,6 +32,7 @@ from .grid import (
 from .pointer import (
     Axis,
     DeflectionTriple,
+    GaussianSuperposition,
     apply_coupling,
     apply_polarization,
     bisect,
@@ -68,8 +69,8 @@ class Engine(enum.Enum):
 class Scenario:
     """Optical train selection plus beam width and waveplate angles.
 
-    The two half-wave plates are built once, here, and shared by every point
-    and engine that runs the scenario.
+    The two plates and the calculus pointer after the preparation plate are
+    built once, here, and shared by every point that runs the scenario.
     """
 
     kind: ScenarioKind
@@ -78,12 +79,15 @@ class Scenario:
     mid_angle_deg: float = -30.0
     prep_plate: Observable = field(init=False, repr=False, compare=False)
     mid_plate: Observable = field(init=False, repr=False, compare=False)
+    pointer: GaussianSuperposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.sigma_mm < math.inf:
             raise ValueError("sigma must be positive and finite")
         object.__setattr__(self, "prep_plate", waveplate_hwp(self.prep_angle_deg))
         object.__setattr__(self, "mid_plate", waveplate_hwp(self.mid_angle_deg))
+        pointer = initial_pointer_state(HORIZONTAL, self.sigma_mm)
+        object.__setattr__(self, "pointer", apply_polarization(pointer, self.prep_plate))
 
 
 @dataclass(frozen=True)
@@ -141,35 +145,25 @@ def _run_train(scenario: Scenario, delta_mm: float, prepared, plate, couple, rea
     return DeflectionTriple(x_mm=x_mm, y_mm=after_y.y_mm, xy_mm2=x_mm * after_y.y_mm)
 
 
-def _calculus(scenario: Scenario) -> tuple:
-    """The calculus as (prepared pointer, plate, couple, read)."""
-    return (
-        apply_polarization(initial_pointer_state(HORIZONTAL), scenario.prep_plate),
-        apply_polarization,
-        lambda state, delta, axis: apply_coupling(state, axis, delta),
-        lambda state: moments(state, scenario.sigma_mm),
-    )
-
-
-def _grid(scenario: Scenario, grid: GridSpec) -> tuple:
-    """The grid engine on rank-1 factors as (prepared beam, plate, couple, read)."""
+def _grid(scenario: Scenario, grid: GridSpec):
+    """The grid engine's beam, a FactoredField, after the preparation plate."""
     beam = factored_gaussian(grid, scenario.sigma_mm, HORIZONTAL)
-    return (
-        apply_factored_unitary(beam, scenario.prep_plate),
-        apply_factored_unitary,
-        apply_factored_shift,
-        factored_means,
-    )
+    return apply_factored_unitary(beam, scenario.prep_plate)
 
 
 def analytic_deflections(scenario: Scenario, delta_mm: float) -> DeflectionTriple:
     """Exact deflections from the Gaussian calculus for any plate angles."""
-    return _run_train(scenario, delta_mm, *_calculus(scenario))
+    return _run_train(
+        scenario, delta_mm, scenario.pointer, apply_polarization, apply_coupling, moments
+    )
 
 
 def grid_deflections(scenario: Scenario, delta_mm: float, grid: GridSpec) -> DeflectionTriple:
     """Deflections read off the simulated optical train on the grid."""
-    return _run_train(scenario, delta_mm, *_grid(scenario, grid))
+    beam = _grid(scenario, grid)
+    return _run_train(
+        scenario, delta_mm, beam, apply_factored_unitary, apply_factored_shift, factored_means
+    )
 
 
 def scenario_intensity_image(scenario: Scenario, delta_mm: float, grid: GridSpec) -> IntensityImage:
@@ -177,19 +171,20 @@ def scenario_intensity_image(scenario: Scenario, delta_mm: float, grid: GridSpec
     factored train, read out by forming the H and V planes once."""
     if scenario.kind is ScenarioKind.TWO_QUBIT:
         raise ValueError("the two-beam scenario has no single detector image")
-    prepared, plate, couple, _ = _grid(scenario, grid)
-    return _run_train(
-        scenario, delta_mm, prepared, plate, couple, lambda field: intensity(planes(field))
+    beam = _grid(scenario, grid)
+    return intensity(
+        _run_train(scenario, delta_mm, beam, apply_factored_unitary, apply_factored_shift, planes)
     )
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Run the sweep, ascending delta, one record per point.
 
-    The grid beam is prepared once, at the first point, and shared by all.
+    The scenario carries the prepared calculus pointer; the grid beam is
+    prepared once, at the first point, and shared by all.
     """
     records = []
-    grid = None
+    beam = None
     for delta in np.linspace(spec.delta_start_mm, spec.delta_stop_mm, spec.steps):
         delta = float(delta)
         analytic = grid_triple = discrepancy = None
@@ -197,9 +192,12 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
             if Engine.ANALYTIC in spec.engines:
                 analytic = analytic_deflections(spec.scenario, delta)
             if Engine.GRID in spec.engines:
-                if grid is None:
-                    grid = _grid(spec.scenario, spec.grid)
-                grid_triple = _run_train(spec.scenario, delta, *grid)
+                if beam is None:
+                    beam = _grid(spec.scenario, spec.grid)
+                grid_triple = _run_train(
+                    spec.scenario, delta, beam,
+                    apply_factored_unitary, apply_factored_shift, factored_means,
+                )
         except SimulationError as exc:
             raise SweepEngineError(delta, str(exc)) from exc
         if analytic is not None and grid_triple is not None:

@@ -1,7 +1,7 @@
 """Exact pointer calculus for Gaussian beams under polarization-conditioned shifts.
 
-A pointer state is a finite superposition of shifted 2-D Gaussians, all
-sharing one transverse width; each term carries its (H, V) polarization
+A pointer state is a finite superposition of shifted 2-D Gaussians sharing
+one width, which the state carries; each term carries its (H, V) polarization
 amplitudes, as the grid engine's factors do.  Amplitudes follow the convention
 
     phi_s(x) = (2 pi sigma^2)^(-1/4) exp(-(x - s)^2 / (4 sigma^2)),
@@ -37,14 +37,17 @@ class Axis(enum.Enum):
 
 @dataclass(frozen=True)
 class GaussianSuperposition:
-    """Finite superposition of shifted Gaussians; each term is a tuple
-    (h, v, shift_x, shift_y) of its H and V amplitudes and its shift."""
+    """Finite superposition of shifted Gaussians of width sigma; each term is
+    a tuple (h, v, shift_x, shift_y) of its H and V amplitudes and its shift."""
 
     terms: tuple[tuple[complex, complex, float, float], ...]
+    sigma: float
 
     def __post_init__(self):
         if not self.terms:
             raise ValueError("superposition needs at least one term")
+        if not self.sigma > 0.0:
+            raise ValueError("sigma must be positive")
         object.__setattr__(self, "terms", tuple(self.terms))
 
 
@@ -57,13 +60,13 @@ class DeflectionTriple:
     xy_mm2: float
 
 
-def initial_pointer_state(pol: QubitState) -> GaussianSuperposition:
-    """Centered Gaussian carrying the given polarization."""
-    return GaussianSuperposition(terms=((pol.amp_h, pol.amp_v, 0.0, 0.0),))
+def initial_pointer_state(pol: QubitState, sigma: float) -> GaussianSuperposition:
+    """Centered Gaussian of width sigma carrying the given polarization."""
+    return GaussianSuperposition(terms=((pol.amp_h, pol.amp_v, 0.0, 0.0),), sigma=sigma)
 
 
 def apply_coupling(
-    state: GaussianSuperposition, axis: Axis, delta: float
+    state: GaussianSuperposition, delta: float, axis: Axis
 ) -> GaussianSuperposition:
     """Translate the H components by +delta along the given axis.
 
@@ -78,7 +81,7 @@ def apply_coupling(
     for h, v, sx, sy in state.terms:
         moved = (sx + delta, sy) if axis is Axis.X else (sx, sy + delta)
         split += [(h, 0j, *moved), (0j, v, sx, sy)]
-    return GaussianSuperposition(terms=tuple(split))
+    return GaussianSuperposition(terms=tuple(split), sigma=state.sigma)
 
 
 def checked_unitary(u) -> tuple[complex, complex, complex, complex]:
@@ -110,12 +113,11 @@ def apply_polarization(
 ) -> GaussianSuperposition:
     """Mix the H and V amplitudes of every term with a 2x2 polarization unitary."""
     a, b, c, d = checked_unitary(u)
-    return GaussianSuperposition(
-        terms=tuple((a * h + b * v, c * h + d * v, sx, sy) for h, v, sx, sy in state.terms)
-    )
+    terms = tuple((a * h + b * v, c * h + d * v, sx, sy) for h, v, sx, sy in state.terms)
+    return GaussianSuperposition(terms=terms, sigma=state.sigma)
 
 
-def _pairwise_sums(state: GaussianSuperposition, sigma: float):
+def _pairwise_sums(state: GaussianSuperposition):
     """<psi|psi>, <x>, <y> and <x y> sums over same-polarization part pairs.
 
     Each term contributes its nonzero H and V parts, in term order.  Each
@@ -123,8 +125,7 @@ def _pairwise_sums(state: GaussianSuperposition, sigma: float):
     call over all pairs, with the exponents built in Python floats; the sums
     accumulate in Python complex in bra-major pair order.
     """
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
+    sigma = state.sigma
     parts = [
         (amp, sx, sy, pol)
         for h, v, sx, sy in state.terms
@@ -155,9 +156,9 @@ def _pairwise_sums(state: GaussianSuperposition, sigma: float):
     return norm, x_acc, y_acc, xy_acc
 
 
-def moments(state: GaussianSuperposition, sigma: float) -> DeflectionTriple:
-    """Exact <x>, <y>, <x y> of the pointer state at width sigma."""
-    norm, x_acc, y_acc, xy_acc = _pairwise_sums(state, sigma)
+def moments(state: GaussianSuperposition) -> DeflectionTriple:
+    """Exact <x>, <y>, <x y> of the pointer state."""
+    norm, x_acc, y_acc, xy_acc = _pairwise_sums(state)
     # numpy's complex division, which rounds differently from Python's: with a
     # complex128 divisor, complex128's reflected division runs first.
     norm = np.complex128(norm)

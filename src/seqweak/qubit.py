@@ -5,17 +5,19 @@ The weak value of an observable A for pre-selection |psi> and post-selection
 the plain expectation <psi|A|psi>; reading two couplings jointly yields the
 sequential value <psi|B A|psi> with the first-coupled observable rightmost.
 A joint reading is anomalous when its real part leaves the interval spanned
-by all pairwise eigenvalue products of the two observables.
+by all pairwise eigenvalue products of the two observables.  A reading or
+interval that leaves the float range raises OutOfFloatRange.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OrthogonalPostselection
+from .errors import OrthogonalPostselection, OutOfFloatRange
 
 NORMALIZATION_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
@@ -68,6 +70,7 @@ class Observable:
     def eigenvalues(self) -> tuple[float, float]:
         """Real eigenvalues in ascending order."""
         lo, hi = np.linalg.eigvalsh(self.matrix)
+        _check_finite("an eigenvalue of the observable", lo, hi)
         return float(lo), float(hi)
 
     def __array__(self, dtype=None, copy=None):
@@ -95,6 +98,11 @@ class DecompositionTerm:
 
     probability: float
     weak_value: complex | None
+
+
+def _check_finite(what: str, *values: complex) -> None:
+    if not all(map(cmath.isfinite, values)):
+        raise OutOfFloatRange(f"{what} overflows the float range")
 
 
 def inner(a: QubitState, b: QubitState) -> complex:
@@ -134,8 +142,10 @@ def weak_value(pre: QubitState, post: QubitState, observable: Observable) -> com
         raise OrthogonalPostselection(
             "post-selection is orthogonal to the pre-selected state"
         )
-    num = np.vdot(post.vector(), observable.matrix @ pre.vector())
-    return complex(num / den)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(np.vdot(post.vector(), observable.matrix @ pre.vector()) / den)
+    _check_finite("the weak value", value)
+    return value
 
 
 def expectation(pre: QubitState, observable: Observable) -> complex:
@@ -165,8 +175,10 @@ def sequential_weak_value(
     classical mixture of outcomes can do.
     """
     vec = pre.vector()
-    value = complex(np.vdot(vec, second.matrix @ (first.matrix @ vec)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(np.vdot(vec, second.matrix @ (first.matrix @ vec)))
     lo, hi = product_eigen_range(first, second)
+    _check_finite("the sequential reading or its interval", value, lo, hi)
     return WeakValueResult(value=value, interval=(lo, hi), anomalous=is_anomalous(value, lo, hi))
 
 

@@ -4,6 +4,7 @@ Exit codes are a stable contract: 0 success, 2 usage, 3 undefined weak
 value, 4 engine failure, 5 verification failure.
 """
 
+import argparse
 import contextlib
 import importlib
 import io
@@ -135,6 +136,43 @@ def test_weak_value_state_too_large_to_normalize_exit_2(capsys):
     # Large components whose norm still fits are normalized as usual.
     assert main(["weak-value", "--pre", "1e308,1e307", "--first", "proj:H", "--second", "proj:H"]) == 0
     assert capsys.readouterr().out.startswith("value = 0.990099009901+0i")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--pre", "a1", "--first", "1e200,0,0,1e200", "--second", "1e200,0,0,1e200"],
+        ["--pre", "a1", "--post", "a2", "--a", "1.7e308,1.7e308,1.7e308,1.7e308"],
+    ],
+    ids=["sequential", "postselected"],
+)
+def test_weak_value_outside_the_float_range_exit_4(argv, capsys):
+    # The reading overflows to inf or NaN: an engine failure, not a printed
+    # NaN, and no numpy warning on the way (the suite turns those into errors).
+    assert main(["weak-value", *argv]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: engine failure: ") and "float range" in err
+
+
+def test_weak_value_largest_finite_reading_still_prints(capsys):
+    assert main(["weak-value", "--pre", "a1", "--post", "a2", "--a", "1e308,0,0,1e308"]) == 0
+    assert capsys.readouterr().out == "value = 1e+308+0i  interval=[1e+308,1e+308]  not anomalous\n"
+
+
+def test_two_main_calls_build_one_parser(monkeypatch, capsys):
+    parsers = []
+    real = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    for _ in range(2):
+        assert main(["weak-value", "--pre", "a1", "--first", "proj:H", "--second", "proj:a2"]) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    assert capsys.readouterr().out.count("ANOMALOUS") == 2
 
 
 def test_sweep_analytic_csv(tmp_path, capsys):

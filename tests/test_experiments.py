@@ -36,13 +36,14 @@ from seqweak.pointer import (
     Axis,
     DeflectionTriple,
     anomaly_threshold,
+    apply_polarization,
     closed_form_sequential,
     closed_form_single_coupling,
     closed_form_two_qubit,
     max_reversal_delta,
     moments,
 )
-from seqweak.qubit import waveplate_hwp
+from seqweak.qubit import HORIZONTAL, waveplate_hwp
 
 GRID = GridSpec(256, 256, 13.5)
 BOTH = frozenset({Engine.ANALYTIC, Engine.GRID})
@@ -218,8 +219,8 @@ IMAGE_AGREEMENT = 1e-14
 def test_train_equals_hand_written_chain(kind, prep_deg, mid_deg, sigma, delta):
     scenario = Scenario(kind=kind, sigma_mm=sigma, prep_angle_deg=prep_deg, mid_angle_deg=mid_deg)
     photons = hand_written_photons(kind, prep_deg, mid_deg)
-    pointers = [run_chain(delta, *elements) for elements in photons]
-    want = joint_reading([moments(pointer, scenario.sigma_mm) for pointer in pointers])
+    pointers = [run_chain(scenario.sigma_mm, delta, *elements) for elements in photons]
+    want = joint_reading([moments(pointer) for pointer in pointers])
     assert analytic_deflections(scenario, delta) == want
 
     fields = [run_grid_chain(GRID, scenario.sigma_mm, delta, *elements) for elements in photons]
@@ -247,6 +248,24 @@ def test_analytic_sweep_matches_pointwise_deflections(kind):
     scenario = Scenario(kind=kind, sigma_mm=0.12, prep_angle_deg=25.0, mid_angle_deg=-35.0)
     records = run_sweep(SweepSpec(scenario, 0.0, 0.5, 5))
     assert [r.analytic for r in records] == [analytic_deflections(scenario, r.delta_mm) for r in records]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_analytic_sweep_prepares_the_pointer_once(kind, monkeypatch):
+    prepared, points = [], []
+    initial, point = experiments.initial_pointer_state, experiments.analytic_deflections
+    monkeypatch.setattr(
+        experiments, "initial_pointer_state", lambda *args: prepared.append(args) or initial(*args)
+    )
+    monkeypatch.setattr(
+        experiments, "analytic_deflections", lambda *args: points.append(args) or point(*args)
+    )
+    scenario = Scenario(kind, 0.2, 25.0, -35.0)
+    run_sweep(SweepSpec(scenario, 0.0, 0.711, 31))
+    assert (len(prepared), len(points)) == (1, 31)
+    # The stored pointer is the per-point preparation it replaces, bit for bit.
+    want = apply_polarization(initial(HORIZONTAL, 0.2), waveplate_hwp(25.0))
+    assert repr(scenario.pointer) == repr(want)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -436,13 +436,13 @@ def test_calculus_terms_are_the_grid_factors():
     # Both engines run one algebra: after every element of the (25, -35) deg
     # sequential train, the calculus's nonzero (h, v) pairs are the factored
     # field's nonzero polarization rows, up to the beam's normalization.
-    state = initial_pointer_state(HORIZONTAL)
+    state = initial_pointer_state(HORIZONTAL, SIGMA)
     field = factored_gaussian(GRID, SIGMA, HORIZONTAL)
     scale = field.pol[0, 0]
     counts = []
     for element in (25.0, Axis.X, -35.0, Axis.Y):
         if isinstance(element, Axis):
-            state = apply_coupling(state, element, 0.2)
+            state = apply_coupling(state, 0.2, element)
             field = apply_factored_shift(field, 0.2, element)
         else:
             state = apply_polarization(state, waveplate_hwp(element))

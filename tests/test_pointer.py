@@ -122,20 +122,20 @@ def quad_moments(terms, sigma, delta):
     )
 
 
-def run_chain(delta, *elements):
+def run_chain(sigma, delta, *elements):
     """Half-wave plates (angles in degrees) and couplings of strength delta
-    (axes), in order, on the horizontally polarized pointer."""
-    state = initial_pointer_state(HORIZONTAL)
+    (axes), in order, on the horizontally polarized pointer of width sigma."""
+    state = initial_pointer_state(HORIZONTAL, sigma)
     for element in elements:
         if isinstance(element, Axis):
-            state = apply_coupling(state, element, delta)
+            state = apply_coupling(state, delta, element)
         else:
             state = apply_polarization(state, waveplate_hwp(element))
     return state
 
 
-def run_sequential_chain(delta, prep_deg=30.0, mid_deg=-30.0):
-    return run_chain(delta, prep_deg, Axis.X, mid_deg, Axis.Y)
+def run_sequential_chain(sigma, delta, prep_deg=30.0, mid_deg=-30.0):
+    return run_chain(sigma, delta, prep_deg, Axis.X, mid_deg, Axis.Y)
 
 
 def test_overlap_against_quadrature():
@@ -164,7 +164,7 @@ def test_chain_matches_brute_force_expansion():
     assert want[("V", delta, 0.0)] == pytest.approx(-SQ3 / 4, abs=1e-12)
     assert want[("V", 0.0, 0.0)] == pytest.approx(-SQ3 / 4, abs=1e-12)
 
-    state = run_sequential_chain(delta)
+    state = run_sequential_chain(0.1116, delta)
     assert len(state.terms) == 4
     got = {}
     for h, v, sx, sy in state.terms:
@@ -178,8 +178,7 @@ def test_chain_matches_brute_force_expansion():
 
 def test_moments_against_quadrature():
     for delta, sigma in [(0.1, 0.2), (0.3, 0.2), (0.45, 0.1116), (0.0, 0.3)]:
-        state = run_sequential_chain(delta)
-        got = moments(state, sigma)
+        got = moments(run_sequential_chain(sigma, delta))
         want = quad_moments(brute_chain_terms(delta), sigma, delta)
         assert got.x_mm == pytest.approx(want[0], abs=1e-8)
         assert got.y_mm == pytest.approx(want[1], abs=1e-8)
@@ -199,7 +198,7 @@ def test_closed_form_sequential_formulas():
 @given(sigmas, ratios)
 def test_calculus_agrees_with_closed_form(sigma, ratio):
     delta = ratio * sigma
-    got = moments(run_sequential_chain(delta), sigma)
+    got = moments(run_sequential_chain(sigma, delta))
     want = closed_form_sequential(delta, sigma)
     assert got.x_mm == pytest.approx(want.x_mm, abs=1e-10)
     assert got.y_mm == pytest.approx(want.y_mm, abs=1e-10)
@@ -210,19 +209,19 @@ def test_calculus_agrees_with_closed_form(sigma, ratio):
 @given(sigmas, ratios)
 def test_first_marginal_is_width_independent(sigma, ratio):
     delta = ratio * sigma
-    got = moments(run_sequential_chain(delta), sigma)
+    got = moments(run_sequential_chain(sigma, delta))
     assert got.x_mm == pytest.approx(delta / 4.0, abs=1e-10)
 
 
 @settings(max_examples=100, deadline=None)
 @given(sigmas, ratios)
 def test_chain_preserves_norm(sigma, ratio):
-    state = run_sequential_chain(ratio * sigma)
-    assert reference_pairwise_sums(state, sigma)[0].real == pytest.approx(1.0, abs=1e-10)
+    state = run_sequential_chain(sigma, ratio * sigma)
+    assert reference_pairwise_sums(state)[0].real == pytest.approx(1.0, abs=1e-10)
 
 
 def test_two_plates_return_the_single_term_to_horizontal():
-    state = initial_pointer_state(HORIZONTAL)
+    state = initial_pointer_state(HORIZONTAL, 0.2)
     state = apply_polarization(state, waveplate_hwp(30.0))
     assert len(state.terms) == 1
     state = apply_polarization(state, waveplate_hwp(30.0))
@@ -234,36 +233,41 @@ def test_two_plates_return_the_single_term_to_horizontal():
 
 
 def test_apply_coupling_requires_nonnegative_shift():
-    state = initial_pointer_state(HORIZONTAL)
+    state = initial_pointer_state(HORIZONTAL, 0.2)
     with pytest.raises(ValueError):
-        apply_coupling(state, Axis.X, -0.1)
+        apply_coupling(state, -0.1, Axis.X)
 
 
 def test_apply_coupling_rejects_non_finite_shift():
-    state = initial_pointer_state(HORIZONTAL)
+    state = initial_pointer_state(HORIZONTAL, 0.2)
     for bad in (np.nan, np.inf, -np.inf):
         for axis in Axis:
             with pytest.raises(ValueError, match="finite"):
-                apply_coupling(state, axis, bad)
+                apply_coupling(state, bad, axis)
+
+
+def test_a_state_needs_a_positive_width():
+    for bad in (0.0, -0.1, np.nan, -np.inf):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            initial_pointer_state(HORIZONTAL, bad)
 
 
 def test_calculus_outside_the_float_range_raises_a_simulation_error():
     # 8 sigma^2 underflows to 0, sigma^2 overflows, (a - b)^2 overflows.
-    centered = initial_pointer_state(HORIZONTAL)
-    for state, sigma, cause in (
-        (centered, 1e-200, "underflows"),
-        (centered, 1e200, "overflows"),
-        (run_sequential_chain(1e200), 0.1116, "overflows"),
+    for state, cause in (
+        (initial_pointer_state(HORIZONTAL, 1e-200), "underflows"),
+        (initial_pointer_state(HORIZONTAL, 1e200), "overflows"),
+        (run_sequential_chain(0.1116, 1e200), "overflows"),
     ):
         with pytest.raises(OutOfFloatRange, match=cause):
-            moments(state, sigma)
+            moments(state)
 
 
 def test_apply_polarization_rejects_nonunitary():
     # One NaN or infinite entry must fail the check on its own: Python's
     # max() drops a NaN depending on argument order, numpy's .max() does not.
     nan, inf = np.nan, np.inf
-    state = initial_pointer_state(HORIZONTAL)
+    state = initial_pointer_state(HORIZONTAL, 0.15)
     field = init_gaussian(GridSpec(64, 64, 20.0), 0.15, HORIZONTAL)
     factored = factored_gaussian(GridSpec(64, 64, 20.0), 0.15, HORIZONTAL)
     for bad in (
@@ -286,10 +290,11 @@ def test_apply_polarization_rejects_nonunitary():
             apply_factored_unitary(factored, np.array(bad))
 
 
-def reference_pairwise_sums(state, sigma):
+def reference_pairwise_sums(state):
     """The pair sums as first written, over each term's nonzero H and V parts
     in term order: a numpy-scalar np.exp for each of four overlaps per
     same-polarization pair, accumulated in numpy scalars."""
+    sigma = state.sigma
     parts = []
     for h, v, sx, sy in state.terms:
         parts += [(coeff, sx, sy, pol) for pol, coeff in (("H", h), ("V", v)) if coeff != 0]
@@ -324,19 +329,23 @@ coefficients = st.builds(
     st.sampled_from([1.0, 1e-7, 2e-14, 1e-14, 5e-15, 0.0]),
     st.booleans(),
 )
-superpositions = st.lists(
-    st.tuples(coefficients, coefficients, shift_values, shift_values),
-    min_size=1,
-    max_size=8,
-).map(lambda terms: GaussianSuperposition(terms=tuple(terms)))
+superpositions = st.builds(
+    lambda terms, sigma: GaussianSuperposition(terms=tuple(terms), sigma=sigma),
+    st.lists(
+        st.tuples(coefficients, coefficients, shift_values, shift_values),
+        min_size=1,
+        max_size=8,
+    ),
+    sigmas,
+)
 
 
 @settings(max_examples=400, deadline=None)
-@given(superpositions, sigmas)
-def test_calculus_matches_reference_bit_for_bit(state, sigma):
+@given(superpositions)
+def test_calculus_matches_reference_bit_for_bit(state):
     with np.errstate(all="ignore"):  # a cancelled state has norm 0: NaN on both sides
-        got = moments(state, sigma)
-        norm, x_acc, y_acc, xy_acc = reference_pairwise_sums(state, sigma)
+        got = moments(state)
+        norm, x_acc, y_acc, xy_acc = reference_pairwise_sums(state)
         want = [(acc / norm).real for acc in (x_acc, y_acc, xy_acc)]
     assert [bits(v) for v in (got.x_mm, got.y_mm, got.xy_mm2)] == [bits(v) for v in want]
 
@@ -351,15 +360,15 @@ def test_two_qubit_closed_form():
 def test_two_qubit_matches_product_chain():
     # Particle A: prep, X coupling, second plate.  Particle B: prep, Y coupling.
     delta, sigma = 0.4, 0.17
-    a_state = initial_pointer_state(HORIZONTAL)
+    a_state = initial_pointer_state(HORIZONTAL, sigma)
     a_state = apply_polarization(a_state, waveplate_hwp(30.0))
-    a_state = apply_coupling(a_state, Axis.X, delta)
+    a_state = apply_coupling(a_state, delta, Axis.X)
     a_state = apply_polarization(a_state, waveplate_hwp(-30.0))
-    b_state = initial_pointer_state(HORIZONTAL)
+    b_state = initial_pointer_state(HORIZONTAL, sigma)
     b_state = apply_polarization(b_state, waveplate_hwp(30.0))
-    b_state = apply_coupling(b_state, Axis.Y, delta)
-    x_a = moments(a_state, sigma).x_mm
-    y_b = moments(b_state, sigma).y_mm
+    b_state = apply_coupling(b_state, delta, Axis.Y)
+    x_a = moments(a_state).x_mm
+    y_b = moments(b_state).y_mm
     want = closed_form_two_qubit(delta)
     assert x_a == pytest.approx(want.x_mm, abs=1e-10)
     assert y_b == pytest.approx(want.y_mm, abs=1e-10)
@@ -418,12 +427,12 @@ def test_max_reversal_matches_stationarity_root():
 
 def test_superposition_requires_terms():
     with pytest.raises(ValueError):
-        GaussianSuperposition(terms=())
+        GaussianSuperposition(terms=(), sigma=0.2)
 
 
 def test_term_tuple_shape():
-    state = GaussianSuperposition(terms=((1.0, 0.0, 0.0, 0.0),))
-    triple = moments(state, 0.2)
+    state = GaussianSuperposition(terms=((1.0, 0.0, 0.0, 0.0),), sigma=0.2)
+    triple = moments(state)
     assert isinstance(triple, DeflectionTriple)
     assert triple.x_mm == pytest.approx(0.0, abs=1e-12)
 
