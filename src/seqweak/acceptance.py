@@ -33,7 +33,6 @@ from .grid import (
     apply_slm_mask,
     factored_gaussian,
     fourier_lens,
-    planes,
     position_coords,
 )
 from .pointer import Axis, anomaly_threshold, bisect, closed_form_sequential
@@ -278,12 +277,11 @@ def check_slm_calibration() -> CheckResult:
     def body():
         alpha = 10
         beam = factored_gaussian(COARSE_GRID, DEFAULT_SIGMA_MM, PLUS_SIXTY)
-        routed = fourier_lens(planes(beam))
-        routed = apply_slm_mask(routed, alpha, Axis.X)
+        routed = apply_slm_mask(fourier_lens(beam), alpha, Axis.X)
         for _ in range(3):
             routed = fourier_lens(routed)
-        # The shift every sweep and image runs: on factors, formed into planes.
-        shifted = planes(apply_factored_shift(beam, SLM_MM_PER_UNIT * alpha, Axis.X))
+        # The shift every sweep and image runs, against the relay it stands for.
+        shifted = apply_factored_shift(beam, SLM_MM_PER_UNIT * alpha, Axis.X)
         deviation = max(
             float(np.abs(routed.h_plane - shifted.h_plane).max()),
             float(np.abs(routed.v_plane - shifted.v_plane).max()),

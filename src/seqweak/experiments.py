@@ -27,7 +27,6 @@ from .grid import (
     factored_gaussian,
     factored_means,
     intensity,
-    planes,
 )
 from .pointer import (
     Axis,
@@ -168,12 +167,12 @@ def grid_deflections(scenario: Scenario, delta_mm: float, grid: GridSpec) -> Def
 
 def scenario_intensity_image(scenario: Scenario, delta_mm: float, grid: GridSpec) -> IntensityImage:
     """Detector image of the single-beam trains (sequential or single): the
-    factored train, read out by forming the H and V planes once."""
+    factored train, read out by its intensity, which forms the H and V planes once."""
     if scenario.kind is ScenarioKind.TWO_QUBIT:
         raise ValueError("the two-beam scenario has no single detector image")
     beam = _grid(scenario, grid)
-    return intensity(
-        _run_train(scenario, delta_mm, beam, apply_factored_unitary, apply_factored_shift, planes)
+    return _run_train(
+        scenario, delta_mm, beam, apply_factored_unitary, apply_factored_shift, intensity
     )
 
 

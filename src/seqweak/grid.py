@@ -4,20 +4,23 @@ Both polarization planes live on one square pixel raster.  Pixel (i, j)
 sits at position ((j - nx/2) * pixel, (ny/2 - i) * pixel) in millimetres,
 so row 0 is the top of the camera image (largest y).  The lens transform
 is the centered unitary DFT with synthesis kernel exp(-i eta x); a blazed
-grating in the lens focal plane multiplies the H plane by a linear phase
+grating in the lens focal plane multiplies the H part by a linear phase
 exp(i delta eta) and realizes the polarization-conditioned displacement
 delta = SLM_MM_PER_UNIT * alpha once the relay returns the field upright.
 A conditional shift applies the same displacement directly: a 1-D DFT
 along the shift axis only, with the spectral phase in natural (unshifted)
-frequency order, so the centered DFT serves only the lens.  Norms are
-tracked against the position-space pixel area throughout.
+frequency order.  Norms are tracked against the position-space pixel area
+throughout.
 
-The optical train runs on rank-1 factors (FactoredField): plates and
-shifts along x or y keep a Gaussian beam a sum of a few products
-pol (x) y-profile (x) x-profile.  Sweeps read the moments off the factors
-and never form an ny x nx plane; planes() forms the H and V planes
-(PolarizedField) in one place, for the detector image's readout and for
-init_gaussian's beam, which the lens relay takes.
+A field is a sum of rank-1 factors (FactoredField), pol (x) y-profile (x)
+x-profile, tagged with the space it lives in.  Plates mix each factor's
+(H, V) amplitudes; a shift or a grating splits each factor into its H
+part, whose x or y profile moves, and its V part; a lens is the 1-D
+centered DFT of every profile, since the 2-D DFT of a product is the
+product of the 1-D DFTs.  So a Gaussian beam stays a few factors through
+the whole train and the relay, sweeps read the moments off the factors,
+and an ny x nx plane is formed only when something reads h_plane or
+v_plane, as the detector image's intensity does.
 """
 
 from __future__ import annotations
@@ -83,33 +86,28 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class PolarizedField:
-    """Two complex planes (H, V) plus the representation they live in."""
-
-    grid: GridSpec
-    h_plane: np.ndarray
-    v_plane: np.ndarray
-    space: Space
-
-    def __post_init__(self):
-        shape = (self.grid.ny, self.grid.nx)
-        for name in ("h_plane", "v_plane"):
-            plane = np.asarray(getattr(self, name), dtype=complex)
-            if plane.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {plane.shape}")
-            plane.setflags(write=False)
-            object.__setattr__(self, name, plane)
-
-
-@dataclass(frozen=True)
 class FactoredField:
-    """Position-space field sum_k pol_k (x) rows_k (x) cols_k; pol (H, V) is
-    k x 2, rows (y profiles, row 0 on top) k x ny, cols (x profiles) k x nx."""
+    """Field sum_k pol_k (x) rows_k (x) cols_k in position or momentum space;
+    pol (H, V) is k x 2, rows (y profiles, row 0 on top) k x ny, cols
+    (x profiles) k x nx."""
 
     grid: GridSpec
     pol: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
+    space: Space = Space.POSITION
+
+    def _plane(self, p: int) -> np.ndarray:
+        """rows^T diag(pol[:, p]) cols: the one place factors become an ny x nx plane."""
+        return (self.rows.T * self.pol[:, p]) @ self.cols
+
+    @property
+    def h_plane(self) -> np.ndarray:
+        return self._plane(0)
+
+    @property
+    def v_plane(self) -> np.ndarray:
+        return self._plane(1)
 
 
 @dataclass(frozen=True)
@@ -161,33 +159,23 @@ def factored_gaussian(grid: GridSpec, sigma_mm: float, pol: QubitState) -> Facto
     return FactoredField(grid, np.array([[pol.amp_h, pol.amp_v]]) * scale, rows, cols)
 
 
-def planes(field: FactoredField) -> PolarizedField:
-    """The factored field's position-space H and V planes,
-    rows^T diag(pol[:, h|v]) cols: the one place factors become ny x nx planes."""
-    h_plane, v_plane = ((field.rows.T * field.pol[:, p]) @ field.cols for p in (0, 1))
-    return PolarizedField(field.grid, h_plane, v_plane, Space.POSITION)
+def _centered_dft(profiles: np.ndarray) -> np.ndarray:
+    """Unitary centered 1-D DFT of each row, synthesis kernel exp(-i eta x)."""
+    out = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(profiles, axes=-1)), axes=-1)
+    return out * np.sqrt(profiles.shape[-1])
 
 
-def init_gaussian(grid: GridSpec, sigma_mm: float, pol: QubitState) -> PolarizedField:
-    """factored_gaussian's beam as full planes."""
-    return planes(factored_gaussian(grid, sigma_mm, pol))
-
-
-def _centered_forward(plane: np.ndarray) -> np.ndarray:
-    """Unitary centered DFT with synthesis kernel exp(-i eta x)."""
-    out = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(plane)))
-    return out * np.sqrt(plane.size)
-
-
-def fourier_lens(field: PolarizedField) -> PolarizedField:
-    """One ideal lens: centered unitary DFT of both planes.
+def fourier_lens(field: FactoredField) -> FactoredField:
+    """One ideal lens: the centered unitary 2-D DFT of both planes, which on
+    a rank-1 factor is the 1-D DFT of its rows times that of its cols.
 
     Applying it twice returns the coordinate-inverted field; four
     applications are the identity.
     """
     space = Space.MOMENTUM if field.space is Space.POSITION else Space.POSITION
-    h_plane, v_plane = _centered_forward(field.h_plane), _centered_forward(field.v_plane)
-    return replace(field, h_plane=h_plane, v_plane=v_plane, space=space)
+    return replace(
+        field, rows=_centered_dft(field.rows), cols=_centered_dft(field.cols), space=space
+    )
 
 
 def _phase(grid: GridSpec, delta_mm: float, axis: Axis) -> np.ndarray:
@@ -199,8 +187,18 @@ def _phase(grid: GridSpec, delta_mm: float, axis: Axis) -> np.ndarray:
     return np.exp(1j * delta_mm * (eta if axis is Axis.X else -eta))
 
 
-def apply_slm_mask(field: PolarizedField, alpha: int, axis: Axis) -> PolarizedField:
-    """Blazed grating of strength alpha on the H plane, in the grating plane.
+def _act_on_h(field: FactoredField, axis: Axis, act) -> FactoredField:
+    """Each factor splits into its H part, whose x (cols) or y (rows) profile
+    goes through act, and its V part, which stays."""
+    pol = np.concatenate([field.pol * [1.0, 0.0], field.pol * [0.0, 1.0]])
+    rows, cols = [field.rows, field.rows], [field.cols, field.cols]
+    moving = cols if axis is Axis.X else rows
+    moving[0] = act(moving[0])
+    return FactoredField(field.grid, pol, np.concatenate(rows), np.concatenate(cols), field.space)
+
+
+def apply_slm_mask(field: FactoredField, alpha: int, axis: Axis) -> FactoredField:
+    """Blazed grating of strength alpha on the H part, in the grating plane.
 
     The grating tilts the H component by a linear phase exp(i delta eta)
     with delta = SLM_MM_PER_UNIT * alpha, which the downstream relay turns
@@ -208,7 +206,7 @@ def apply_slm_mask(field: PolarizedField, alpha: int, axis: Axis) -> PolarizedFi
     """
     if field.space is not Space.MOMENTUM:
         raise WrongSpace("the grating sits in a lens focal plane")
-    if alpha != int(alpha) or alpha < 0:
+    if not 0 <= alpha < np.inf or alpha != int(alpha):  # NaN fails the first test
         raise ValueError(f"grating parameter must be a nonnegative integer, got {alpha!r}")
     delta = SLM_MM_PER_UNIT * int(alpha)
     side = field.grid.nx if axis is Axis.X else field.grid.ny
@@ -218,8 +216,7 @@ def apply_slm_mask(field: PolarizedField, alpha: int, axis: Axis) -> PolarizedFi
             f"grating phase would step by >= pi per pixel (delta {delta:g} mm, extent {extent:g} mm)"
         )
     centered = np.fft.fftshift(_phase(field.grid, delta, axis))
-    phase = centered[None, :] if axis is Axis.X else centered[:, None]
-    return replace(field, h_plane=field.h_plane * phase)
+    return _act_on_h(field, axis, lambda profiles: profiles * centered)
 
 
 def _check_shift(grid: GridSpec, delta_mm: float, axis: Axis) -> None:
@@ -230,46 +227,18 @@ def _check_shift(grid: GridSpec, delta_mm: float, axis: Axis) -> None:
         )
 
 
-def _shift_along(data: np.ndarray, grid: GridSpec, delta_mm: float, axis: Axis, dim: int):
-    """1-D DFT of data along dim, the spectral phase of the axis, inverse DFT."""
-    spectrum = np.fft.ifft(data, axis=dim)
-    spectrum *= np.expand_dims(_phase(grid, delta_mm, axis), 1 - dim)
-    return np.fft.fft(spectrum, axis=dim)
-
-
-def apply_conditional_shift(
-    field: PolarizedField, delta_mm: float, axis: Axis
-) -> PolarizedField:
-    """Displace the H plane by +delta along the axis via a spectral phase on
-    that axis only; the V plane passes through untouched.  The same operator,
-    Nyquist bin included, as a lens, a matching grating and the rest of the relay."""
+def apply_factored_shift(field: FactoredField, delta_mm: float, axis: Axis) -> FactoredField:
+    """Displace the H part by +delta along the axis: a 1-D DFT of its x (cols)
+    or y (rows) profiles, the axis's spectral phase, the inverse DFT; the V
+    part stays.  The same operator, Nyquist bin included, as a lens, a
+    matching grating and the rest of the relay."""
     if field.space is not Space.POSITION:
         raise WrongSpace("conditional shifts act on the position-space field")
     _check_shift(field.grid, delta_mm, axis)
     if delta_mm == 0.0:
         return field
-    dim = 1 if axis is Axis.X else 0
-    return replace(field, h_plane=_shift_along(field.h_plane, field.grid, delta_mm, axis, dim))
-
-
-def apply_factored_shift(field: FactoredField, delta_mm: float, axis: Axis) -> FactoredField:
-    """apply_conditional_shift on factors: each factor splits into its H part,
-    whose x (cols) or y (rows) profile moves, and its V part, which stays."""
-    _check_shift(field.grid, delta_mm, axis)
-    if delta_mm == 0.0:
-        return field
-    pol = np.concatenate([field.pol * [1.0, 0.0], field.pol * [0.0, 1.0]])
-    rows, cols = [field.rows, field.rows], [field.cols, field.cols]
-    moving = cols if axis is Axis.X else rows
-    moving[0] = _shift_along(moving[0], field.grid, delta_mm, axis, 1)
-    return FactoredField(field.grid, pol, np.concatenate(rows), np.concatenate(cols))
-
-
-def apply_polarization_unitary(field: PolarizedField, u) -> PolarizedField:
-    """Mix the H and V planes with a 2x2 unitary."""
-    a, b, c, d = checked_unitary(u)
-    h, v = field.h_plane, field.v_plane
-    return replace(field, h_plane=a * h + b * v, v_plane=c * h + d * v)
+    phase = _phase(field.grid, delta_mm, axis)
+    return _act_on_h(field, axis, lambda profiles: np.fft.fft(np.fft.ifft(profiles) * phase))
 
 
 def apply_factored_unitary(field: FactoredField, u) -> FactoredField:
@@ -279,8 +248,26 @@ def apply_factored_unitary(field: FactoredField, u) -> FactoredField:
     return replace(field, pol=np.stack([a * h + b * v, c * h + d * v], axis=1))
 
 
-def intensity(field: PolarizedField) -> IntensityImage:
-    """Polarization-summed intensity |H|^2 + |V|^2."""
+def init_gaussian(grid: GridSpec, sigma_mm: float, pol: QubitState) -> FactoredField:
+    """factored_gaussian, under the name the benchmark's relay op calls and its
+    tracer looks up; it goes with ROADMAP item 1."""
+    return factored_gaussian(grid, sigma_mm, pol)
+
+
+def apply_conditional_shift(field: FactoredField, delta_mm: float, axis: Axis) -> FactoredField:
+    """apply_factored_shift, under the name the benchmark's relay op calls and
+    its tracer looks up; it goes with ROADMAP item 1."""
+    return apply_factored_shift(field, delta_mm, axis)
+
+
+def apply_polarization_unitary(field: FactoredField, u) -> FactoredField:
+    """apply_factored_unitary, under the name the benchmark's tracer looks up;
+    it goes with ROADMAP item 1."""
+    return apply_factored_unitary(field, u)
+
+
+def intensity(field: FactoredField) -> IntensityImage:
+    """Polarization-summed intensity |H|^2 + |V|^2 of the field's planes."""
     values = np.abs(field.h_plane) ** 2 + np.abs(field.v_plane) ** 2
     return IntensityImage(grid=field.grid, values=values)
 
@@ -306,6 +293,8 @@ def factored_means(field: FactoredField) -> DeflectionTriple:
     """discrete_means of the factored field's intensity without forming it:
     each pixel sum is sum_kl (pol_k^H pol_l)(rows_k^H Y rows_l)(cols_k^H X cols_l),
     with Y and X the coordinate or one."""
+    if field.space is not Space.POSITION:
+        raise WrongSpace("moments are read off the position-space field")
     x, y = position_coords(field.grid)
     pols = field.pol.conj() @ field.pol.T
     rows = [pols * ((field.rows.conj() * w) @ field.rows.T) for w in (1.0, y)]

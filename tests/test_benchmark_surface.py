@@ -87,3 +87,39 @@ def test_every_cli_argv_of_the_benchmark_runs(tmp_path, capsys):
     for op in ops:
         argv = [arg.format(**files) for arg in op.argv]
         assert main(argv) == 0, (argv, capsys.readouterr().err)
+
+
+def test_the_relay_ops_of_the_benchmark_pass_its_checks(tmp_path, monkeypatch):
+    # The harness's own runner and check on the relay ops of image-fine's
+    # first round at seed 1: the op calls the grid names above and reads
+    # h_plane and v_plane off whatever they return.
+    monkeypatch.syspath_prepend(str(SEQBENCH))
+    harness = importlib.import_module("harness")
+    ops = [op for op in next(harness.rounds("image-fine", 1)) if op.kind == "lib.relay"]
+    assert len(ops) == 2
+    runner = harness.Runner(tmp_path)
+    for op in ops:
+        _, out = runner.run(op)
+        assert harness.checks.check(op, out) is None, op
+
+
+def test_a_grid_sweep_calls_no_traced_grid_name_per_point():
+    # Every traced call costs a span and, for a field, forms its planes to
+    # count their bytes; a sweep that ran its points through the traced
+    # names would measure the tracer, not the engine.
+    from seqweak.experiments import Engine, Scenario, ScenarioKind, SweepSpec, run_sweep
+    from seqweak.grid import GridSpec
+
+    tracing = load_tracing()
+    modules = {name: importlib.import_module(f"seqweak.{name}") for name in tracing.TRACED}
+    tracer = tracing.Tracer()
+    spec = SweepSpec(
+        Scenario(ScenarioKind.SEQUENTIAL), 0.0, 0.711, 31,
+        engines=frozenset({Engine.ANALYTIC, Engine.GRID}), grid=GridSpec(256, 256, 13.5),
+    )
+    with tracer.instrument(modules):
+        assert len(run_sweep(spec)) == 31
+    calls = tracing.layer_totals(tracer.names, tracer.spans)
+    grid_calls = {name: entry["calls"] for name, entry in calls.items() if name.startswith("grid.")}
+    assert grid_calls.get("grid.init_gaussian", 0) <= 1
+    assert not {name for name in grid_calls if name != "grid.init_gaussian"}, grid_calls

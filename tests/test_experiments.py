@@ -287,8 +287,7 @@ def test_grid_sweep_never_forms_a_plane(monkeypatch):
         raise AssertionError("a sweep must not form a full plane")
 
     monkeypatch.setattr("seqweak.grid.init_gaussian", refuse)
-    monkeypatch.setattr("seqweak.grid.planes", refuse)
-    monkeypatch.setattr(experiments, "planes", refuse)
+    monkeypatch.setattr(grid.FactoredField, "_plane", refuse)
     huge = GridSpec(65536, 65536, 13.5)
     for kind in ALL_KINDS:
         records = run_sweep(SweepSpec(Scenario(kind=kind), 0.0, 0.711, 4, engines=BOTH, grid=huge))
@@ -302,19 +301,21 @@ def test_grid_sweep_never_forms_a_plane(monkeypatch):
 @pytest.mark.parametrize("kind", [ScenarioKind.SEQUENTIAL, ScenarioKind.SINGLE])
 def test_image_forms_its_planes_once_at_the_readout(kind, monkeypatch):
     formed = []
+    plane = grid.FactoredField._plane
 
-    def counting(field):
-        formed.append(len(field.pol))
-        return grid.planes(field)
+    def counting(field, p):
+        formed.append((p, len(field.pol)))
+        return plane(field, p)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the image runs the factored train")
 
-    monkeypatch.setattr(experiments, "planes", counting)
+    monkeypatch.setattr(grid.FactoredField, "_plane", counting)
     for dense in ("init_gaussian", "apply_polarization_unitary", "apply_conditional_shift"):
         monkeypatch.setattr(grid, dense, refuse)
     image = scenario_intensity_image(Scenario(kind=kind), 0.3, GRID)
-    assert formed == [4 if kind is ScenarioKind.SEQUENTIAL else 2]
+    factors = 4 if kind is ScenarioKind.SEQUENTIAL else 2
+    assert formed == [(0, factors), (1, factors)]
     assert image.values.shape == (GRID.ny, GRID.nx)
 
 

@@ -1,10 +1,14 @@
 """Checks for the Fourier-optics grid engine.
 
 The exact Gaussian calculus acts as the oracle for every deflection read off
-the grid; image formats are checked by independent byte-level reparsing.
+the grid.  The dense engine the factors replaced is kept here as the oracle
+for the factored train and relay: full planes, the 2-D centered DFT for the
+lens and the grating on the H plane.  Image formats are checked by
+independent byte-level reparsing.
 """
 
 import struct
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -21,11 +25,10 @@ from seqweak.errors import (
 from seqweak.grid import (
     SLM_MM_PER_UNIT,
     GridSpec,
+    FactoredField,
     IntensityImage,
-    PolarizedField,
     Space,
     apply_conditional_shift,
-    apply_polarization_unitary,
     apply_slm_mask,
     apply_factored_shift,
     apply_factored_unitary,
@@ -35,7 +38,6 @@ from seqweak.grid import (
     fourier_lens,
     init_gaussian,
     intensity,
-    planes,
     position_coords,
     render_pgm,
     render_raw,
@@ -76,20 +78,81 @@ def parse_pgm(data):
     return np.frombuffer(payload, dtype=">u2").reshape(height, width)
 
 
+class DenseField(NamedTuple):
+    """The dense engine's field: full H and V planes on the grid."""
+
+    grid: GridSpec
+    h_plane: np.ndarray
+    v_plane: np.ndarray
+
+
+def dense_gaussian(grid, sigma, pol):
+    """Centered Gaussian beam of intensity width sigma, normalized on the pixel area."""
+    x, y = position_coords(grid)
+    plane = np.exp(-(y[:, None] ** 2 + x[None, :] ** 2) / (4.0 * sigma**2))
+    plane /= np.sqrt((plane**2).sum() * grid.pixel_area_mm2)
+    return DenseField(grid, pol.amp_h * plane, pol.amp_v * plane)
+
+
+def dense_unitary(field, u):
+    (a, b), (c, d) = np.asarray(u, dtype=complex)
+    h, v = field.h_plane, field.v_plane
+    return field._replace(h_plane=a * h + b * v, v_plane=c * h + d * v)
+
+
+def dense_shift(field, delta, axis):
+    """The H plane moved by delta: a 1-D DFT along the axis, the phase
+    exp(i delta eta) in natural frequency order, the inverse DFT."""
+    if delta == 0.0:
+        return field
+    eta_x, eta_y = momentum_coords(field.grid)
+    dim = 1 if axis is Axis.X else 0
+    phase = np.exp(1j * delta * np.fft.ifftshift(eta_x if axis is Axis.X else eta_y))
+    spectrum = np.fft.ifft(field.h_plane, axis=dim) * np.expand_dims(phase, 1 - dim)
+    return field._replace(h_plane=np.fft.fft(spectrum, axis=dim))
+
+
+def centered_dft(plane):
+    """The lens: unitary centered 2-D DFT with synthesis kernel exp(-i eta x)."""
+    return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(plane))) * np.sqrt(plane.size)
+
+
+def grating_phase(grid, delta, axis):
+    """exp(i delta eta) on momentum_coords, shaped to multiply a plane."""
+    eta_x, eta_y = momentum_coords(grid)
+    if axis is Axis.X:
+        return np.exp(1j * delta * eta_x)[None, :]
+    return np.exp(1j * delta * eta_y)[:, None]
+
+
+def dense_relay(field, alpha, axis):
+    """A lens, the grating of strength alpha on the H plane, three more lenses."""
+    h = centered_dft(field.h_plane) * grating_phase(field.grid, SLM_MM_PER_UNIT * alpha, axis)
+    v = centered_dft(field.v_plane)
+    for _ in range(3):
+        h, v = centered_dft(h), centered_dft(v)
+    return DenseField(field.grid, h, v)
+
+
 def run_grid_chain(grid, sigma, delta, *elements):
     """Half-wave plates (angles in degrees) and conditional shifts by delta
-    (axes), in order, on a horizontally polarized Gaussian beam."""
-    field = init_gaussian(grid, sigma, HORIZONTAL)
+    (axes), in order, on a horizontally polarized Gaussian beam, on the
+    dense engine."""
+    field = dense_gaussian(grid, sigma, HORIZONTAL)
     for element in elements:
         if isinstance(element, Axis):
-            field = apply_conditional_shift(field, delta, element)
+            field = dense_shift(field, delta, element)
         else:
-            field = apply_polarization_unitary(field, waveplate_hwp(element))
+            field = dense_unitary(field, waveplate_hwp(element))
     return field
 
 
 def run_grid_train(grid, sigma, delta):
-    return run_grid_chain(grid, sigma, delta, 30.0, Axis.X, -30.0, Axis.Y)
+    """The sequential train on the factored engine."""
+    field = apply_factored_unitary(factored_gaussian(grid, sigma, HORIZONTAL), waveplate_hwp(30.0))
+    field = apply_factored_shift(field, delta, Axis.X)
+    field = apply_factored_unitary(field, waveplate_hwp(-30.0))
+    return apply_factored_shift(field, delta, Axis.Y)
 
 
 def test_grid_spec_validation():
@@ -116,7 +179,7 @@ def test_coordinate_conventions():
 
 
 def test_init_gaussian_norm_and_width():
-    field = init_gaussian(GRID, SIGMA, PLUS_SIXTY)
+    field = factored_gaussian(GRID, SIGMA, PLUS_SIXTY)
     assert field.space is Space.POSITION
     assert field_norm(field) == pytest.approx(1.0, abs=1e-9)
 
@@ -131,13 +194,13 @@ def test_init_gaussian_norm_and_width():
 
 def test_init_gaussian_rejects_bad_grids():
     with pytest.raises(GridTooCoarse):
-        init_gaussian(GridSpec(256, 256, 54.0), SIGMA, HORIZONTAL)
+        factored_gaussian(GridSpec(256, 256, 54.0), SIGMA, HORIZONTAL)
     with pytest.raises(GridTooSmall):
-        init_gaussian(GridSpec(64, 64, 13.5), 0.2, HORIZONTAL)
+        factored_gaussian(GridSpec(64, 64, 13.5), 0.2, HORIZONTAL)
 
 
 def test_fourier_lens_unitary_and_reciprocal_width():
-    field = init_gaussian(GRID, SIGMA, HORIZONTAL)
+    field = factored_gaussian(GRID, SIGMA, HORIZONTAL)
     far = fourier_lens(field)
     assert far.space is Space.MOMENTUM
     assert field_norm(far) == pytest.approx(1.0, abs=1e-9)
@@ -149,9 +212,9 @@ def test_fourier_lens_unitary_and_reciprocal_width():
 
 
 def test_fourier_lens_double_is_coordinate_inversion():
-    field = init_gaussian(GRID, SIGMA, HORIZONTAL)
-    field = apply_conditional_shift(field, 0.4, Axis.X)
-    field = apply_conditional_shift(field, 0.2, Axis.Y)
+    field = factored_gaussian(GRID, SIGMA, HORIZONTAL)
+    field = apply_factored_shift(field, 0.4, Axis.X)
+    field = apply_factored_shift(field, 0.2, Axis.Y)
     twice = fourier_lens(fourier_lens(field))
     assert twice.space is Space.POSITION
     flipped = np.roll(field.h_plane[::-1, ::-1], shift=(1, 1), axis=(0, 1))
@@ -159,8 +222,8 @@ def test_fourier_lens_double_is_coordinate_inversion():
 
 
 def test_fourier_lens_four_times_is_identity():
-    field = init_gaussian(GRID, SIGMA, PLUS_SIXTY)
-    field = apply_conditional_shift(field, 0.3, Axis.X)
+    field = factored_gaussian(GRID, SIGMA, PLUS_SIXTY)
+    field = apply_factored_shift(field, 0.3, Axis.X)
     out = field
     for _ in range(4):
         out = fourier_lens(out)
@@ -170,15 +233,17 @@ def test_fourier_lens_four_times_is_identity():
 
 
 def test_slm_mask_requires_momentum_space():
-    field = init_gaussian(GRID, SIGMA, HORIZONTAL)
+    field = factored_gaussian(GRID, SIGMA, HORIZONTAL)
     with pytest.raises(WrongSpace):
         apply_slm_mask(field, 5, Axis.X)
 
 
 def test_slm_mask_validates_grating_parameter():
-    far = fourier_lens(init_gaussian(GRID, SIGMA, HORIZONTAL))
-    with pytest.raises(ValueError):
-        apply_slm_mask(far, -3, Axis.X)
+    far = fourier_lens(factored_gaussian(GRID, SIGMA, HORIZONTAL))
+    for bad in (-3, 2.5, float("nan"), float("inf"), float("-inf")):
+        for axis in (Axis.X, Axis.Y):
+            with pytest.raises(ValueError, match="grating parameter"):
+                apply_slm_mask(far, bad, axis)
     with pytest.raises(AliasingRisk):
         apply_slm_mask(far, 100, Axis.X)
 
@@ -187,44 +252,44 @@ def test_slm_mask_equals_conditional_shift():
     # One lens into the grating plane plus three more to finish the relay
     # upright equals the direct conditional shift with delta = k * alpha.
     alpha = 10
-    start = init_gaussian(GRID, SIGMA, PLUS_SIXTY)
-    start = apply_conditional_shift(start, 0.15, Axis.X)  # make it asymmetric
+    start = factored_gaussian(GRID, SIGMA, PLUS_SIXTY)
+    start = apply_factored_shift(start, 0.15, Axis.X)  # make it asymmetric
 
     via_mask = fourier_lens(start)
     via_mask = apply_slm_mask(via_mask, alpha, Axis.X)
     for _ in range(3):
         via_mask = fourier_lens(via_mask)
 
-    direct = apply_conditional_shift(start, SLM_MM_PER_UNIT * alpha, Axis.X)
+    direct = apply_factored_shift(start, SLM_MM_PER_UNIT * alpha, Axis.X)
     assert via_mask.space is Space.POSITION
     assert np.abs(via_mask.h_plane - direct.h_plane).max() < 1e-9
     assert np.abs(via_mask.v_plane - direct.v_plane).max() < 1e-9
 
 
 def test_conditional_shift_zero_is_identity():
-    field = init_gaussian(GRID, SIGMA, PLUS_SIXTY)
-    out = apply_conditional_shift(field, 0.0, Axis.X)
+    field = factored_gaussian(GRID, SIGMA, PLUS_SIXTY)
+    out = apply_factored_shift(field, 0.0, Axis.X)
     assert np.abs(out.h_plane - field.h_plane).max() < 1e-12
     assert np.abs(out.v_plane - field.v_plane).max() < 1e-12
 
 
 def test_conditional_shift_moves_h_only():
-    field = init_gaussian(GRID, SIGMA, HORIZONTAL)
-    out = apply_conditional_shift(field, 0.2, Axis.X)
+    field = factored_gaussian(GRID, SIGMA, HORIZONTAL)
+    out = apply_factored_shift(field, 0.2, Axis.X)
     assert field_norm(out) == pytest.approx(1.0, abs=1e-9)
     means = discrete_means(intensity(out))
     assert means.x_mm == pytest.approx(0.2, abs=1e-4)
     assert means.y_mm == pytest.approx(0.0, abs=1e-6)
 
-    mixed = init_gaussian(GRID, SIGMA, PLUS_SIXTY)
-    shifted = apply_conditional_shift(mixed, 0.3, Axis.X)
+    mixed = factored_gaussian(GRID, SIGMA, PLUS_SIXTY)
+    shifted = apply_factored_shift(mixed, 0.3, Axis.X)
     assert np.array_equal(shifted.v_plane, mixed.v_plane)
     assert discrete_means(intensity(shifted)).x_mm == pytest.approx(0.3 / 4.0, abs=1e-4)
 
 
 def test_conditional_shift_positive_y_moves_up():
-    field = init_gaussian(GRID, SIGMA, HORIZONTAL)
-    out = apply_conditional_shift(field, 0.5, Axis.Y)
+    field = factored_gaussian(GRID, SIGMA, HORIZONTAL)
+    out = apply_factored_shift(field, 0.5, Axis.Y)
     means = discrete_means(intensity(out))
     assert means.y_mm == pytest.approx(0.5, abs=1e-4)
     row = np.unravel_index(np.argmax(intensity(out).values), (GRID.ny, GRID.nx))[0]
@@ -232,39 +297,35 @@ def test_conditional_shift_positive_y_moves_up():
 
 
 def test_conditional_shift_guards():
-    field = init_gaussian(GRID, SIGMA, HORIZONTAL)
+    field = factored_gaussian(GRID, SIGMA, HORIZONTAL)
     with pytest.raises(ShiftTooLarge):
-        apply_conditional_shift(field, GRID.extent_x_mm / 4.0 + 0.01, Axis.X)
+        apply_factored_shift(field, GRID.extent_x_mm / 4.0 + 0.01, Axis.X)
     with pytest.raises(WrongSpace):
-        apply_conditional_shift(fourier_lens(field), 0.1, Axis.X)
+        apply_factored_shift(fourier_lens(field), 0.1, Axis.X)
 
 
-def reference_shift(field, delta_mm, axis):
-    """The centered 2-D relay the 1-D shift replaced: unitary centered DFT,
-    phase exp(i delta eta) on momentum_coords, centered inverse DFT."""
-    n = field.h_plane.size
-    spectrum = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(field.h_plane))) * np.sqrt(n)
-    eta_x, eta_y = momentum_coords(field.grid)
-    if axis is Axis.X:
-        spectrum = spectrum * np.exp(1j * delta_mm * eta_x)[None, :]
-    else:
-        spectrum = spectrum * np.exp(1j * delta_mm * eta_y)[:, None]
-    return np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(spectrum))) / np.sqrt(n)
+def reference_shift(grid, plane, delta_mm, axis):
+    """The centered 2-D relay the 1-D shift replaced: the lens, the phase
+    exp(i delta eta) on momentum_coords, the inverse lens."""
+    spectrum = centered_dft(plane) * grating_phase(grid, delta_mm, axis)
+    return np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(spectrum))) / np.sqrt(plane.size)
 
 
 @pytest.mark.parametrize("axis", [Axis.X, Axis.Y])
 @pytest.mark.parametrize("delta", [0.37, -0.21, 3 * 0.0135, -1e-3])
 def test_conditional_shift_matches_centered_relay(axis, delta):
-    # Non-square grid and white-noise planes: every frequency, the Nyquist
-    # bins included, carries power, and a swapped axis cannot pass.
+    # Non-square grid and random rank-3 factors of white noise: every
+    # frequency, the Nyquist bins included, carries power, and a swapped
+    # axis cannot pass.
     grid = GridSpec(nx=256, ny=128, pixel_um=13.5)
     rng = np.random.default_rng(20190)
-    shape = (grid.ny, grid.nx)
-    h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    field = PolarizedField(grid=grid, h_plane=h, v_plane=v, space=Space.POSITION)
-    out = apply_conditional_shift(field, delta, axis)
-    want = reference_shift(field, delta, axis)
+
+    def noise(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    field = FactoredField(grid, noise(3, 2), noise(3, grid.ny), noise(3, grid.nx))
+    out = apply_factored_shift(field, delta, axis)
+    want = reference_shift(grid, field.h_plane, delta, axis)
     assert np.abs(out.h_plane.real - want.real).max() <= 1e-13
     assert np.abs(out.h_plane.imag - want.imag).max() <= 1e-13
     assert np.array_equal(out.v_plane, field.v_plane)
@@ -272,22 +333,22 @@ def test_conditional_shift_matches_centered_relay(axis, delta):
 
 
 def test_conditional_shift_rejects_nan():
-    field = init_gaussian(GRID, SIGMA, HORIZONTAL)
+    field = factored_gaussian(GRID, SIGMA, HORIZONTAL)
     for axis in (Axis.X, Axis.Y):
         with pytest.raises(ShiftTooLarge):
-            apply_conditional_shift(field, float("nan"), axis)
+            apply_factored_shift(field, float("nan"), axis)
         with pytest.raises(ShiftTooLarge):
-            apply_conditional_shift(field, float("-inf"), axis)
+            apply_factored_shift(field, float("-inf"), axis)
 
 
 def test_polarization_unitary_on_grid():
-    field = init_gaussian(GRID, SIGMA, HORIZONTAL)
-    rotated = apply_polarization_unitary(field, waveplate_hwp(30.0))
+    field = factored_gaussian(GRID, SIGMA, HORIZONTAL)
+    rotated = apply_factored_unitary(field, waveplate_hwp(30.0))
     assert field_norm(rotated) == pytest.approx(1.0, abs=1e-9)
     assert np.abs(rotated.h_plane - 0.5 * field.h_plane).max() < 1e-12
     assert np.abs(rotated.v_plane - np.sqrt(3.0) / 2.0 * field.h_plane).max() < 1e-12
     with pytest.raises(NonUnitary):
-        apply_polarization_unitary(field, np.array([[1.0, 0.0], [0.0, 0.5]]))
+        apply_factored_unitary(field, np.array([[1.0, 0.0], [0.0, 0.5]]))
 
 
 def test_discrete_means_empty_image():
@@ -353,7 +414,7 @@ def test_refinement_improves_or_hits_float_floor():
 
 
 def test_render_pgm_round_trip():
-    field = apply_conditional_shift(init_gaussian(GRID, SIGMA, HORIZONTAL), 0.4, Axis.Y)
+    field = apply_factored_shift(factored_gaussian(GRID, SIGMA, HORIZONTAL), 0.4, Axis.Y)
     image = intensity(field)
     data = render_pgm(image)
     parsed = parse_pgm(data)
@@ -376,7 +437,7 @@ def test_render_pgm_all_dark_image():
 
 
 def test_render_raw_round_trip():
-    image = intensity(init_gaussian(GRID, SIGMA, HORIZONTAL))
+    image = intensity(factored_gaussian(GRID, SIGMA, HORIZONTAL))
     blob = render_raw(image)
     assert blob[:8] == b"WMGRID01"
     nx, ny, pixel_um = struct.unpack("<IId", blob[8:24])
@@ -405,21 +466,79 @@ def test_factored_engine_matches_dense_planes(seed):
     # its discrete_means.
     grid = GridSpec(nx=256, ny=128, pixel_um=13.5)
     rng = np.random.default_rng(seed)
-    dense = init_gaussian(grid, SIGMA, PLUS_SIXTY)
+    dense = dense_gaussian(grid, SIGMA, PLUS_SIXTY)
     factored = factored_gaussian(grid, SIGMA, PLUS_SIXTY)
     for element in random_chain(rng, 7):
         if isinstance(element, tuple):
-            dense = apply_conditional_shift(dense, element[1], element[0])
+            dense = dense_shift(dense, element[1], element[0])
             factored = apply_factored_shift(factored, element[1], element[0])
         else:
-            dense = apply_polarization_unitary(dense, element)
+            dense = dense_unitary(dense, element)
             factored = apply_factored_unitary(factored, element)
-    formed = planes(factored)
-    assert np.abs(formed.h_plane - dense.h_plane).max() <= 1e-14
-    assert np.abs(formed.v_plane - dense.v_plane).max() <= 1e-14
+    assert np.abs(factored.h_plane - dense.h_plane).max() <= 1e-14
+    assert np.abs(factored.v_plane - dense.v_plane).max() <= 1e-14
     got, want = factored_means(factored), discrete_means(intensity(dense))
     for a, b in zip((got.x_mm, got.y_mm, got.xy_mm2), (want.x_mm, want.y_mm, want.xy_mm2)):
         assert a == pytest.approx(b, abs=1e-15)
+
+
+# The factored relay against the dense one, relative to the peak amplitude:
+# a bound stated before it was measured, a few ulps of log2(N) FFT stages.
+RELAY_AGREEMENT = 1e-14
+
+
+@pytest.mark.parametrize(
+    "grid, axis",
+    [
+        (GridSpec(256, 128, 13.5), Axis.X),
+        (GridSpec(256, 128, 13.5), Axis.Y),
+        (GridSpec(1024, 1024, 13.5), Axis.X),
+        (GridSpec(1024, 1024, 13.5), Axis.Y),
+    ],
+    ids=["256x128-x", "256x128-y", "1024-x", "1024-y"],
+)
+def test_factored_relay_matches_dense_relay(grid, axis):
+    # An asymmetric start (already shifted along both axes) on a non-square
+    # grid: a lens or a grating on the wrong profile cannot pass.
+    start = apply_factored_shift(factored_gaussian(grid, SIGMA, PLUS_SIXTY), 0.15, Axis.X)
+    start = apply_factored_shift(start, -0.1, Axis.Y)
+    routed = apply_slm_mask(fourier_lens(start), 10, axis)
+    for _ in range(3):
+        routed = fourier_lens(routed)
+    assert routed.space is Space.POSITION
+    want = dense_relay(DenseField(grid, start.h_plane, start.v_plane), 10, axis)
+    peak = np.abs(want.h_plane).max()
+    assert np.abs(routed.h_plane - want.h_plane).max() <= RELAY_AGREEMENT * peak
+    assert np.abs(routed.v_plane - want.v_plane).max() <= RELAY_AGREEMENT * peak
+
+
+def test_relay_never_forms_a_plane(monkeypatch):
+    # A 65536^2 plane of complex128 is 64 GiB; the relay must run on factors.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the relay must not form a full plane")
+
+    monkeypatch.setattr(FactoredField, "_plane", refuse)
+    huge = GridSpec(65536, 65536, 13.5)
+    beam = factored_gaussian(huge, SIGMA, PLUS_SIXTY)
+    for axis in (Axis.X, Axis.Y):
+        routed = apply_slm_mask(fourier_lens(beam), 10, axis)
+        for _ in range(3):
+            routed = fourier_lens(routed)
+        shifted = apply_factored_shift(beam, SLM_MM_PER_UNIT * 10, axis)
+        assert routed.space is Space.POSITION
+        for got, want in zip((routed.pol, routed.rows, routed.cols), (shifted.pol, shifted.rows, shifted.cols)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        means = factored_means(routed)
+        moved = (means.x_mm, means.y_mm)[axis is Axis.Y]
+        assert moved == pytest.approx(SLM_MM_PER_UNIT * 10 / 4.0, abs=1e-12)
+
+
+def test_moments_need_the_position_space_field():
+    far = fourier_lens(factored_gaussian(GRID, SIGMA, PLUS_SIXTY))
+    with pytest.raises(WrongSpace):
+        factored_means(far)
+    with pytest.raises(WrongSpace):
+        apply_factored_shift(far, 0.1, Axis.Y)
 
 
 def test_factored_shift_splits_each_factor_once():
@@ -466,6 +585,8 @@ def test_factored_means_of_an_empty_field():
 
 
 def test_both_engines_refuse_the_same_inputs_alike():
+    # The names the benchmark calls (init_gaussian, apply_conditional_shift)
+    # refuse what the factored verbs they stand for refuse, word for word.
     cases = [
         (GridSpec(256, 256, 54.0), SIGMA, 0.1, GridTooCoarse),
         (GridSpec(64, 64, 13.5), 0.2, 0.1, GridTooSmall),
