@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .acceptance import run_all_checks
-from .errors import OrthogonalPostselection, SimulationError, SweepEngineError
+from .errors import OrthogonalPostselection, ShiftTooLarge, SimulationError, SweepEngineError
 from .experiments import (
     DEFAULT_SIGMA_MM,
     Engine,
@@ -236,7 +236,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_image(args) -> int:
     scenario, grid = _scenario_and_grid(args, ScenarioKind.SEQUENTIAL, with_grid=True)
-    delta_mm = args.delta if args.alpha is None else SLM_MM_PER_UNIT * args.alpha
+    try:
+        delta_mm = args.delta if args.alpha is None else SLM_MM_PER_UNIT * args.alpha
+    except OverflowError:
+        raise ShiftTooLarge(f"--alpha of {len(str(args.alpha))} digits shifts beyond the float range") from None
     image = scenario_intensity_image(scenario, delta_mm, grid)
 
     args.out.write_bytes(render_pgm(image))

@@ -4,8 +4,10 @@ A scenario fixes the optical train; a sweep runs it over a range of coupling
 strengths with one or both engines and exports the deflections as CSV plus a
 key=value metadata sidecar.  Each scenario's train is written once, against
 an engine's plate, coupling and read-out; the calculus, the grid and the
-detector image all run it.  The default beam width 0.1116 mm is derived by
-inverting the 0.331 mm zero crossing of the joint deflection, not measured.
+detector image all run it.  The features of a sweep (the zero crossing and
+the deepest reversal of the joint mean) are read off its own records, at
+any plate angles.  The default beam width 0.1116 mm is derived by inverting
+the 0.331 mm zero crossing of the joint deflection, not measured.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from .pointer import (
     GaussianSuperposition,
     apply_coupling,
     apply_polarization,
-    bisect,
-    closed_form_sequential,
     golden_section_minimize,
     initial_pointer_state,
     moments,
@@ -44,7 +44,6 @@ from .qubit import HORIZONTAL, Observable, waveplate_hwp
 
 DEFAULT_SIGMA_MM = 0.1116
 MAX_SWEEP_STEPS = 100_000
-ZERO_CROSSING_TOL_MM = 1e-9
 EXTREMUM_TOL_MM = 1e-9
 
 CSV_HEADER = (
@@ -212,37 +211,46 @@ def _analytic_joint_series(records: list[SweepRecord]) -> list[tuple[float, floa
     return series
 
 
-def find_zero_crossing(records: list[SweepRecord], sigma_mm: float) -> float:
-    """Coupling strength where the sequential joint mean changes sign.
+def _overlap(delta_mm: float, sigma_mm: float) -> float:
+    """O = exp(-delta^2 / 8 sigma^2), the overlap of two lobes a coupling parts."""
+    return math.exp(-(delta_mm**2) / (8.0 * sigma_mm**2))
 
-    Bisection of the closed form between the bracketing sweep records.
+
+def find_zero_crossing(records: list[SweepRecord], sigma_mm: float) -> float:
+    """Coupling strength where the joint mean changes sign.
+
+    Every train the package runs has <x y>/delta^2 = A + B O, linear in the
+    overlap O, so the two records around the sign change fix the root:
+    O* interpolates them linearly, and delta* = sigma sqrt(-8 ln O*).
     """
     series = _analytic_joint_series(records)
     for (d_lo, y_lo), (d_hi, y_hi) in zip(series, series[1:]):
         if y_lo * y_hi < 0.0:
-            return float(
-                bisect(
-                    lambda d: closed_form_sequential(d, sigma_mm).xy_mm2,
-                    d_lo,
-                    d_hi,
-                    xtol=ZERO_CROSSING_TOL_MM,
-                )
-            )
+            r_lo, r_hi = abs(y_lo / d_lo**2), abs(y_hi / d_hi**2)
+            o_star = (r_hi * _overlap(d_lo, sigma_mm) + r_lo * _overlap(d_hi, sigma_mm)) / (r_lo + r_hi)
+            return sigma_mm * math.sqrt(-8.0 * math.log(o_star))
     raise NoSignChange("joint mean keeps one sign over the sweep")
 
 
 def find_extremum(records: list[SweepRecord], sigma_mm: float) -> tuple[float, float]:
-    """Interior minimum of the sequential joint mean, golden-section refined."""
+    """Interior minimum of the joint mean, golden-section refined on the line
+    <x y>/delta^2 = A + B O through the dip record and its right neighbour, or
+    the left one if those share an overlap (both 0 or both 1); flat if all do."""
     series = _analytic_joint_series(records)
     for i in range(1, len(series) - 1):
         if series[i][1] < series[i - 1][1] and series[i][1] < series[i + 1][1]:
-            delta = golden_section_minimize(
-                lambda d: closed_form_sequential(d, sigma_mm).xy_mm2,
-                series[i - 1][0],
-                series[i + 1][0],
-                tol=EXTREMUM_TOL_MM,
-            )
-            return delta, closed_form_sequential(delta, sigma_mm).xy_mm2
+            (d_p, y_p), o_p = series[i], _overlap(series[i][0], sigma_mm)
+            r_p, slope = y_p / d_p**2, 0.0
+            for d_q, y_q in (series[i + 1], series[i - 1]):
+                if _overlap(d_q, sigma_mm) != o_p:
+                    slope = (y_q / d_q**2 - r_p) / (_overlap(d_q, sigma_mm) - o_p)
+                    break
+
+            def joint(d):
+                return d**2 * (r_p + slope * (_overlap(d, sigma_mm) - o_p))
+
+            delta = golden_section_minimize(joint, series[i - 1][0], series[i + 1][0], EXTREMUM_TOL_MM)
+            return delta, joint(delta)
     raise NoInteriorExtremum("joint mean has no interior dip over the sweep")
 
 

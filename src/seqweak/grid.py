@@ -129,8 +129,11 @@ class IntensityImage:
 
 def position_coords(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Pixel-center coordinates in mm: x per column, y per row (row 0 on top)."""
-    x = (np.arange(grid.nx) - grid.nx // 2) * grid.pixel_mm
-    y = (grid.ny // 2 - np.arange(grid.ny)) * grid.pixel_mm
+    try:
+        x = (np.arange(grid.nx) - grid.nx // 2) * grid.pixel_mm
+        y = (grid.ny // 2 - np.arange(grid.ny)) * grid.pixel_mm
+    except ValueError as exc:  # numpy's array size limit, beyond any memory
+        raise MemoryError(f"a {grid.nx}x{grid.ny} grid exceeds numpy's array size limit") from exc
     return x, y
 
 
@@ -208,14 +211,16 @@ def apply_slm_mask(field: FactoredField, alpha: int, axis: Axis) -> FactoredFiel
         raise WrongSpace("the grating sits in a lens focal plane")
     if not 0 <= alpha < np.inf or alpha != int(alpha):  # NaN fails the first test
         raise ValueError(f"grating parameter must be a nonnegative integer, got {alpha!r}")
-    delta = SLM_MM_PER_UNIT * int(alpha)
-    side = field.grid.nx if axis is Axis.X else field.grid.ny
     extent = field.grid.extent_x_mm if axis is Axis.X else field.grid.extent_y_mm
-    if delta * (2.0 * np.pi / (side * field.grid.pixel_mm)) >= np.pi:
+    # The phase steps by delta 2 pi / extent per pixel: pi once delta reaches
+    # half the extent.  Compared on alpha, before a huge one meets a float.
+    limit = extent / (2.0 * SLM_MM_PER_UNIT)
+    if not alpha < limit:
         raise AliasingRisk(
-            f"grating phase would step by >= pi per pixel (delta {delta:g} mm, extent {extent:g} mm)"
+            f"grating phase would step by >= pi per pixel (alpha must stay below "
+            f"{limit:g} at extent {extent:g} mm)"
         )
-    centered = np.fft.fftshift(_phase(field.grid, delta, axis))
+    centered = np.fft.fftshift(_phase(field.grid, SLM_MM_PER_UNIT * int(alpha), axis))
     return _act_on_h(field, axis, lambda profiles: profiles * centered)
 
 

@@ -169,6 +169,14 @@ def moments(state: GaussianSuperposition) -> DeflectionTriple:
     )
 
 
+def _check_closed_form(delta: float = 0.0, sigma: float = 1.0) -> None:
+    """A closed form takes a finite coupling and a positive, finite width."""
+    if not 0.0 < sigma < math.inf:  # NaN fails too
+        raise ValueError("sigma must be positive and finite")
+    if not math.isfinite(delta):
+        raise ValueError(f"coupling must be finite, got {delta!r}")
+
+
 def closed_form_sequential(delta: float, sigma: float) -> DeflectionTriple:
     """Deflections for the standard two-coupling chain at equal strength delta.
 
@@ -180,9 +188,8 @@ def closed_form_sequential(delta: float, sigma: float) -> DeflectionTriple:
     matching the anomalous joint reading -1/8) and crosses to +delta^2/16
     once the couplings separate the lobes.
     """
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
-    damp = np.exp(-(delta**2) / (8.0 * sigma**2))
+    _check_closed_form(delta, sigma)
+    damp = float(np.exp(-(delta**2) / (8.0 * sigma**2)))
     return DeflectionTriple(
         x_mm=delta / 4.0,
         y_mm=delta / 8.0 * (5.0 - 3.0 * damp),
@@ -196,11 +203,13 @@ def closed_form_two_qubit(delta: float) -> DeflectionTriple:
     Both marginals are delta/4, width-independent, and the joint mean is
     their plain product delta^2/16: never negative.
     """
+    _check_closed_form(delta)
     return DeflectionTriple(x_mm=delta / 4.0, y_mm=delta / 4.0, xy_mm2=delta**2 / 16.0)
 
 
 def closed_form_single_coupling(delta: float) -> DeflectionTriple:
     """Deflections after the preparation plate and a single X coupling."""
+    _check_closed_form(delta)
     return DeflectionTriple(x_mm=delta / 4.0, y_mm=0.0, xy_mm2=0.0)
 
 
@@ -211,14 +220,13 @@ def anomaly_threshold(sigma: float) -> float:
     Below this strength the joint mean is negative although both couplings
     shift the beam in the positive direction.
     """
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
+    _check_closed_form(sigma=sigma)
     return float(sigma * np.sqrt(8.0 * np.log(3.0)))
 
 
 def golden_section_minimize(f, lo: float, hi: float, tol: float = 1e-9) -> float:
     """Golden-section minimum of a unimodal function, absolute bracket tolerance."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
     fc, fd = f(c), f(d)
@@ -232,30 +240,6 @@ def golden_section_minimize(f, lo: float, hi: float, tol: float = 1e-9) -> float
             d = lo + invphi * (hi - lo)
             fd = f(d)
     return 0.5 * (lo + hi)
-
-
-def bisect(f, a: float, b: float, xtol: float) -> float:
-    """Root of f in [a, b] by bisection, step for step as scipy.optimize.bisect:
-    at most 100 halvings, the half-step stops below xtol + 4 eps |x|, and an
-    interval whose ends share a sign raises scipy's ValueError."""
-    fa, fb = f(a), f(b)
-    if fa * fb > 0.0:
-        raise ValueError("f(a) and f(b) must have different signs")
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    rtol = 4.0 * np.finfo(float).eps
-    dm = b - a
-    for _ in range(100):
-        dm *= 0.5
-        xm = a + dm
-        fm = f(xm)
-        if fm * fa >= 0.0:
-            a = xm
-        if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
-            return xm
-    raise RuntimeError("Failed to converge after 100 iterations.")
 
 
 def max_reversal_delta(sigma: float, tol: float = 1e-9) -> float:

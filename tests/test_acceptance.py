@@ -5,7 +5,13 @@ single PASS/FAIL line carrying the measured figure and its pinned tolerance.
 The same checks back the ``seqweak verify`` command.
 """
 
+import math
+
+from scipy.optimize import brentq
+
 from seqweak.acceptance import (
+    _stationarity_root,
+    _timed,
     check_anomaly_region,
     check_calculus_agreement,
     check_closed_form_reproduction,
@@ -18,6 +24,7 @@ from seqweak.acceptance import (
     check_two_qubit_nonnegativity,
     check_weak_limit,
 )
+from seqweak.errors import EmptyImage
 
 
 def report(result):
@@ -100,3 +107,18 @@ def test_image_lobe_weights():
     # power, each within 1% absolute
     result = report(check_image_lobes())
     assert result.passed, result.detail
+
+
+def test_stationarity_root_matches_brentq():
+    want = brentq(lambda t: 3.0 * (1.0 - t) * math.exp(-t) - 1.0, 0.1, 0.9, xtol=1e-15)
+    assert abs(_stationarity_root() - want) <= 1e-12
+
+
+def test_a_check_that_raises_a_simulation_error_fails_as_aborted():
+    def body():
+        raise EmptyImage("image carries no power")
+
+    result = _timed("probe", body)
+    assert (result.name, result.passed) == ("probe", False)
+    assert result.detail == "aborted: image carries no power"
+    assert result.elapsed_s >= 0.0

@@ -113,6 +113,9 @@ def test_weak_value_usage_errors(capsys):
     # non-Hermitian matrix
     assert main(["weak-value", "--pre", "H", "--first", "0,1,0,0", "--second", "proj:H"]) == 2
     assert "--first" in capsys.readouterr().err
+    # three matrix entries
+    assert main(["weak-value", "--pre", "H", "--first", "1,0,0", "--second", "proj:H"]) == 2
+    assert "--first must be proj:<state> or four comma-separated" in capsys.readouterr().err
     # mixed modes and missing halves
     assert main(["weak-value", "--pre", "H", "--first", "proj:H", "--post", "V", "--a", "proj:H"]) == 2
     capsys.readouterr()
@@ -292,6 +295,8 @@ def test_sweep_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["sweep", "--sigma", "0.1", "--out", out]) == 2
     assert "--sigma" in capsys.readouterr().err
+    assert main(["sweep", "--sigma", "abcmm", "--out", out]) == 2
+    assert "--sigma needs a number with an mm or um suffix, got 'abcmm'" in capsys.readouterr().err
     assert main(["sweep", "--engine", "quantum", "--out", out]) == 2
     capsys.readouterr()
     assert main(["sweep", "--engine", "grid", "--grid-size", "100", "--out", out]) == 2
@@ -368,6 +373,51 @@ def test_image_out_of_memory_exit_4(tmp_path, capsys, monkeypatch, message):
     err = capsys.readouterr().err
     assert err == f"error: engine failure: not enough memory ({message or 'allocation failed'})\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_image_alpha_beyond_the_float_range_exit_4(tmp_path, capsys):
+    out = tmp_path / "far.pgm"
+    assert main(["image", "--alpha", "1" + "0" * 400, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        "error: engine failure: --alpha of 401 digits shifts beyond the float range\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, power",
+    [("sweep", 60), ("image", 62), ("image", 64)],
+)
+def test_grid_beyond_numpy_array_size_exit_4(tmp_path, capsys, command, power):
+    # numpy refuses these sides before allocating anything.
+    side = 2**power
+    out = tmp_path / "huge.out"
+    argv = [command, "--grid-size", str(side), "--out", str(out)]
+    argv += ["--engine", "grid"] if command == "sweep" else ["--alpha", "1"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        f"error: engine failure: not enough memory "
+        f"(a {side}x{side} grid exceeds numpy's array size limit)\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["sweep", "image"])
+def test_output_into_a_missing_directory_exit_2_names_the_path(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.file"
+    argv = [command, "--out", str(out)] + (["--delta", "0.1mm"] if command == "image" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_metadata_that_cannot_be_written_exit_2_names_the_path(tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    meta = tmp_path / "curve.csv.meta"
+    meta.mkdir()  # the sidecar's path is taken by a directory
+    assert main(["sweep", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write metadata to {meta}: ")
 
 
 def test_image_alpha_sets_shift(tmp_path, capsys):

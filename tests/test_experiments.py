@@ -26,6 +26,7 @@ from seqweak.experiments import (
     find_zero_crossing,
     grid_deflections,
     parse_csv,
+    records_to_csv,
     run_sweep,
     scenario_intensity_image,
     weak_limit_ratio,
@@ -66,6 +67,8 @@ def test_sweep_spec_validation():
         SweepSpec(scenario=scenario, delta_start_mm=-0.1)
     with pytest.raises(ValueError):
         SweepSpec(scenario=scenario, engines=frozenset({Engine.GRID}))
+    with pytest.raises(ValueError, match="select at least one engine"):
+        SweepSpec(scenario=scenario, engines=frozenset())
     with pytest.raises(ValueError):
         Scenario(kind=ScenarioKind.SEQUENTIAL, sigma_mm=0.0)
     assert SweepSpec(scenario=scenario, steps=MAX_SWEEP_STEPS).steps == MAX_SWEEP_STEPS
@@ -384,6 +387,128 @@ def test_find_extremum_requires_interior_dip():
         find_extremum(records, DEFAULT_SIGMA_MM)
 
 
+def calculus_crossing(joint, deltas, tol=1e-13):
+    """Bisection of the calculus's joint mean in the first sign-changing bracket."""
+    values = [joint(d) for d in deltas]
+    for i in range(len(deltas) - 1):
+        if values[i] * values[i + 1] < 0.0:
+            lo, hi, f_lo = deltas[i], deltas[i + 1], values[i]
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                if (joint(mid) < 0.0) == (f_lo < 0.0):
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+    return None
+
+
+def calculus_minimum(joint, deltas, tol=1e-10):
+    """Golden-section minimum of the calculus's joint mean over the first dip's bracket."""
+    values = [joint(d) for d in deltas]
+    for i in range(1, len(deltas) - 1):
+        if values[i] < values[i - 1] and values[i] < values[i + 1]:
+            lo, hi = deltas[i - 1], deltas[i + 1]
+            ratio = (math.sqrt(5.0) - 1.0) / 2.0
+            while hi - lo > tol:
+                c, d = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+                if joint(c) < joint(d):
+                    hi = d
+                else:
+                    lo = c
+            where = 0.5 * (lo + hi)
+            return where, joint(where)
+    return None
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_features_follow_the_calculus_at_any_plate_angles(kind):
+    # Bounds stated before measuring: the package's crossing tolerance and
+    # the benchmark's extremum tolerances.
+    rng = np.random.default_rng(12)
+    for _ in range(25):
+        prep, mid = rng.uniform(-90.0, 90.0, size=2)
+        sigma = float(rng.uniform(0.05, 2.0))
+        stop, steps = sigma * float(rng.uniform(0.5, 20.0)), int(rng.integers(3, 80))
+        scenario = Scenario(kind, sigma, prep, mid)
+        records = run_sweep(SweepSpec(scenario, 0.0, stop, steps))
+        deltas = [r.delta_mm for r in records]
+
+        def joint(d):
+            return analytic_deflections(scenario, d).xy_mm2
+
+        want = calculus_crossing(joint, deltas)
+        if want is None:
+            with pytest.raises(NoSignChange):
+                find_zero_crossing(records, sigma)
+        else:
+            assert abs(find_zero_crossing(records, sigma) - want) <= 1e-9
+        want = calculus_minimum(joint, deltas)
+        if want is None:
+            with pytest.raises(NoInteriorExtremum):
+                find_extremum(records, sigma)
+        else:
+            delta, value = find_extremum(records, sigma)
+            assert abs(delta - want[0]) <= 1e-6
+            assert abs(value - want[1]) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "prep, mid, crossing, extremum",
+    [
+        (28.0, -33.0, "0.346203", ("0.223926", "-0.00262794")),
+        (25.0, -35.0, "0.343773", ("0.222675", "-0.0023741")),
+    ],
+)
+def test_features_at_off_default_angles(prep, mid, crossing, extremum):
+    scenario = Scenario(ScenarioKind.SEQUENTIAL, DEFAULT_SIGMA_MM, prep, mid)
+    records = run_sweep(SweepSpec(scenario))
+    assert f"{find_zero_crossing(records, DEFAULT_SIGMA_MM):.6g}" == crossing
+    assert tuple(f"{v:.6g}" for v in find_extremum(records, DEFAULT_SIGMA_MM)) == extremum
+
+
+def test_extremum_whose_dip_neighbours_sit_in_the_underflowed_tail():
+    # Near mid = 45 deg the joint mean has a small positive floor A delta^2,
+    # so a coarse sweep dips at a record whose overlap, like its right
+    # neighbour's, underflows to 0; the line goes through the left neighbour.
+    sigma, first = 0.1, 0.1 * math.sqrt(8.0)
+    scenario = Scenario(ScenarioKind.SEQUENTIAL, sigma, 30.0, 44.99)
+    records = run_sweep(SweepSpec(scenario, first, 16.0 - first, 3))
+    assert [math.exp(-(r.delta_mm**2) / (8.0 * sigma**2)) for r in records[1:]] == [0.0, 0.0]
+
+    def joint(d):
+        return analytic_deflections(scenario, d).xy_mm2
+
+    want = calculus_minimum(joint, [r.delta_mm for r in records])
+    delta, value = find_extremum(records, sigma)
+    assert abs(delta - want[0]) <= 1e-6
+    assert abs(value - want[1]) <= 1e-10
+
+
+def test_extremum_where_every_overlap_rounds_to_one():
+    # At mid = prep - 45 deg the weak-regime joint mean vanishes, and a sweep
+    # of nanometres dips on the calculus's round-off alone; the overlaps of
+    # the dip's bracket are all 1.0, so its line is flat and nothing divides by 0.
+    scenario = Scenario(ScenarioKind.SEQUENTIAL, 1.0, 30.0, -15.0)
+    records = run_sweep(SweepSpec(scenario, 0.0, 1e-9, 8))
+    delta, value = find_extremum(records, 1.0)
+    assert 0.0 < delta < 1e-9
+    assert abs(value) < 1e-30
+
+
+def test_two_qubit_scenario_has_no_single_image():
+    scenario = Scenario(ScenarioKind.TWO_QUBIT, DEFAULT_SIGMA_MM)
+    with pytest.raises(ValueError, match="no single detector image"):
+        scenario_intensity_image(scenario, 0.2, GRID)
+
+
+def test_features_need_analytic_records():
+    records = run_sweep(sequential_spec(steps=5, engines=frozenset({Engine.GRID}), grid=GRID))
+    for feature in (find_zero_crossing, find_extremum):
+        with pytest.raises(ValueError, match="records are missing analytic deflections"):
+            feature(records, DEFAULT_SIGMA_MM)
+
+
 def test_infer_sigma_from_threshold():
     # The default width is the one whose zero crossing sits at 0.331 mm.
     def infer_sigma(delta_star_mm):
@@ -425,6 +550,12 @@ def test_csv_round_trip_analytic_only(tmp_path):
 def test_parse_csv_rejects_foreign_header():
     with pytest.raises(ValueError):
         parse_csv(b"delta,joint\n0,0\n")
+
+
+def test_parse_csv_rejects_a_malformed_row():
+    data = records_to_csv(run_sweep(sequential_spec(steps=3)))
+    with pytest.raises(ValueError, match="malformed CSV row: '0,0,0'"):
+        parse_csv(data + b"0,0,0\n")
 
 
 def test_metadata_sidecar(tmp_path):

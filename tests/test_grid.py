@@ -244,8 +244,22 @@ def test_slm_mask_validates_grating_parameter():
         for axis in (Axis.X, Axis.Y):
             with pytest.raises(ValueError, match="grating parameter"):
                 apply_slm_mask(far, bad, axis)
-    with pytest.raises(AliasingRisk):
-        apply_slm_mask(far, 100, Axis.X)
+    # The pi-per-pixel bound sits at alpha = extent / (2 * 0.0237 mm) = 72.9;
+    # an alpha past the float range is refused like one just past the bound.
+    for axis in (Axis.X, Axis.Y):
+        assert apply_slm_mask(far, 72, axis).space is Space.MOMENTUM
+        for alpha in (73, 100, 10**400):
+            with pytest.raises(AliasingRisk, match="alpha must stay below 72.9114"):
+                apply_slm_mask(far, alpha, axis)
+
+
+def test_intensity_image_checks_its_shape_and_sign():
+    with pytest.raises(ValueError, match="shape must match the grid"):
+        IntensityImage(grid=GRID, values=np.zeros((GRID.ny, GRID.nx // 2)))
+    values = np.zeros((GRID.ny, GRID.nx))
+    values[3, 5] = -1e-300
+    with pytest.raises(ValueError, match="nonnegative"):
+        IntensityImage(grid=GRID, values=values)
 
 
 def test_slm_mask_equals_conditional_shift():

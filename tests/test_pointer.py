@@ -3,19 +3,20 @@
 Oracles used here, all independent of the library internals:
   - trapezoid quadrature of the Gaussian kernels for overlaps and moments,
   - a brute-force term-bookkeeping expansion of the two-coupling chain,
-  - scipy root finding for the threshold and stationarity conditions, and
-    scipy's bisection for the package's own,
+  - scipy root finding for the threshold and stationarity conditions,
   - the calculus's pair sums as first written (numpy scalars, one np.exp per
     overlap), which the package must match bit for bit; its two Gaussian
     kernels are checked against quadrature here.
 """
 
+import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import bisect as scipy_bisect, brentq
+from scipy.optimize import brentq
 
 from seqweak.errors import NonUnitary, OutOfFloatRange
 from seqweak.grid import (
@@ -32,7 +33,6 @@ from seqweak.pointer import (
     anomaly_threshold,
     apply_coupling,
     apply_polarization,
-    bisect,
     closed_form_sequential,
     closed_form_single_coupling,
     closed_form_two_qubit,
@@ -437,30 +437,35 @@ def test_term_tuple_shape():
     assert triple.x_mm == pytest.approx(0.0, abs=1e-12)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    sigma=sigmas,
-    lo_frac=st.floats(0.2, 0.999),
-    hi_frac=st.floats(1.001, 3.0),
-    xtol_exp=st.floats(-14.0, -6.0),
-)
-def test_bisect_matches_scipy_bit_for_bit(sigma, lo_frac, hi_frac, xtol_exp):
-    star = anomaly_threshold(sigma)
-    xtol = 10.0**xtol_exp
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_closed_forms_refuse_non_finite_inputs(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: closed_form_sequential(0.2, bad),
+            lambda: anomaly_threshold(bad),
+            lambda: max_reversal_delta(bad),
+        ):
+            with pytest.raises(ValueError, match="sigma must be positive and finite"):
+                call()
+        for call in (
+            lambda: closed_form_sequential(bad, 0.1),
+            lambda: closed_form_two_qubit(bad),
+            lambda: closed_form_single_coupling(bad),
+        ):
+            with pytest.raises(ValueError, match="coupling must be finite"):
+                call()
+    for sigma in (0.0, -0.1):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            closed_form_sequential(0.2, sigma)
 
-    def joint(d):
-        return closed_form_sequential(d, sigma).xy_mm2
 
-    got = bisect(joint, lo_frac * star, hi_frac * star, xtol=xtol)
-    assert got == scipy_bisect(joint, lo_frac * star, hi_frac * star, xtol=xtol)
-
-
-def test_bisect_endpoints_and_failures():
-    assert bisect(lambda x: x - 1.0, 1.0, 2.0, xtol=1e-9) == 1.0
-    assert bisect(lambda x: x - 2.0, 1.0, 2.0, xtol=1e-9) == 2.0
-    # The message is scipy's, word for word.
-    with pytest.raises(ValueError, match=r"^f\(a\) and f\(b\) must have different signs$"):
-        bisect(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-9)
-    # The root is 0, so the half-step never falls below xtol in 100 halvings.
-    with pytest.raises(RuntimeError):
-        bisect(lambda x: x, -1.0, 0.5, xtol=1e-300)
+def test_closed_forms_return_python_floats():
+    delta, sigma = 0.31, 0.1116
+    damp = np.exp(-(delta**2) / (8.0 * sigma**2))
+    triple = closed_form_sequential(delta, sigma)
+    # The same bits as with numpy's scalar, only the type changes.
+    assert triple.y_mm == delta / 8.0 * (5.0 - 3.0 * damp)
+    assert triple.xy_mm2 == delta**2 / 16.0 * (1.0 - 3.0 * damp)
+    for got in (triple, closed_form_two_qubit(delta), closed_form_single_coupling(delta)):
+        assert {type(v) for v in (got.x_mm, got.y_mm, got.xy_mm2)} == {float}

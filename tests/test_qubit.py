@@ -269,3 +269,9 @@ def test_anomaly_verdict_margin():
     assert is_anomalous(1.0 + 1e-9, 0.0, 1.0)
     assert not is_anomalous(1.0 + 1e-13, 0.0, 1.0)
     assert not is_anomalous(-1e-13 + 5j, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2,), (4,), (2, 3)])
+def test_observable_must_be_2x2(shape):
+    with pytest.raises(ValueError, match="observable must be 2x2"):
+        Observable(np.zeros(shape))
