@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +57,11 @@ ENGINES = {
     "grid": frozenset({Engine.GRID}),
     "both": frozenset({Engine.ANALYTIC, Engine.GRID}),
 }
+
+
+# What int() reads as a base-10 integer; past int()'s 4300-digit limit
+# Decimal reads the same text at any length.
+INTEGER_TEXT = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")
 
 
 class UsageError(Exception):
@@ -136,11 +143,11 @@ def parse_delta_range(text: str, flag: str) -> tuple[float, float, int]:
 
 
 def parse_count(text: str, flag: str) -> int:
-    """A nonnegative integer: a grid side or a grating strength."""
+    """A nonnegative integer of any length: a grid side or a grating strength."""
     try:
         count = int(text)
     except ValueError:
-        count = -1
+        count = int(Decimal(text)) if INTEGER_TEXT.fullmatch(text) else -1
     if count < 0:
         raise UsageError(f"{flag} must be a nonnegative integer, got {text!r}")
     return count
@@ -239,7 +246,8 @@ def cmd_image(args) -> int:
     try:
         delta_mm = args.delta if args.alpha is None else SLM_MM_PER_UNIT * args.alpha
     except OverflowError:
-        raise ShiftTooLarge(f"--alpha of {len(str(args.alpha))} digits shifts beyond the float range") from None
+        digits = Decimal(args.alpha).adjusted() + 1  # str() refuses past 4300 digits
+        raise ShiftTooLarge(f"--alpha of {digits} digits shifts beyond the float range") from None
     image = scenario_intensity_image(scenario, delta_mm, grid)
 
     args.out.write_bytes(render_pgm(image))

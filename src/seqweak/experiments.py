@@ -36,7 +36,6 @@ from .pointer import (
     GaussianSuperposition,
     apply_coupling,
     apply_polarization,
-    golden_section_minimize,
     initial_pointer_state,
     moments,
 )
@@ -230,6 +229,24 @@ def find_zero_crossing(records: list[SweepRecord], sigma_mm: float) -> float:
             o_star = (r_hi * _overlap(d_lo, sigma_mm) + r_lo * _overlap(d_hi, sigma_mm)) / (r_lo + r_hi)
             return sigma_mm * math.sqrt(-8.0 * math.log(o_star))
     raise NoSignChange("joint mean keeps one sign over the sweep")
+
+
+def golden_section_minimize(f, lo: float, hi: float, tol: float) -> float:
+    """Golden-section minimum of a unimodal function, absolute bracket tolerance."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = hi - invphi * (hi - lo)
+    d = lo + invphi * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > tol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = f(d)
+    return 0.5 * (lo + hi)
 
 
 def find_extremum(records: list[SweepRecord], sigma_mm: float) -> tuple[float, float]:

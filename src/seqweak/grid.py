@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import enum
 import struct
+import sys
 from dataclasses import dataclass, replace
+from decimal import Decimal
 
 import numpy as np
 
@@ -127,18 +129,28 @@ class IntensityImage:
         object.__setattr__(self, "values", values)
 
 
+def _check_sides(grid: GridSpec) -> None:
+    """A side's 8-byte coordinate array must fit numpy's array size limit,
+    sys.maxsize bytes (numpy's intp is Py_ssize_t), which lies beyond any
+    memory.  Checked on the ints, before numpy or a float meets the side;
+    Decimal prints a side of any length."""
+    if max(grid.nx, grid.ny) > sys.maxsize // 8:
+        raise MemoryError(
+            f"a {Decimal(grid.nx)}x{Decimal(grid.ny)} grid exceeds numpy's array size limit"
+        )
+
+
 def position_coords(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Pixel-center coordinates in mm: x per column, y per row (row 0 on top)."""
-    try:
-        x = (np.arange(grid.nx) - grid.nx // 2) * grid.pixel_mm
-        y = (grid.ny // 2 - np.arange(grid.ny)) * grid.pixel_mm
-    except ValueError as exc:  # numpy's array size limit, beyond any memory
-        raise MemoryError(f"a {grid.nx}x{grid.ny} grid exceeds numpy's array size limit") from exc
+    _check_sides(grid)
+    x = (np.arange(grid.nx) - grid.nx // 2) * grid.pixel_mm
+    y = (grid.ny // 2 - np.arange(grid.ny)) * grid.pixel_mm
     return x, y
 
 
 def _check_beam(grid: GridSpec, sigma_mm: float) -> None:
-    """The grid must resolve the beam and hold its tails."""
+    """The grid must fit numpy's arrays, resolve the beam and hold its tails."""
+    _check_sides(grid)
     if not sigma_mm > 0.0:
         raise ValueError("sigma must be positive")
     if sigma_mm < WAIST_PIXELS_MIN * grid.pixel_mm:

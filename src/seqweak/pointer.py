@@ -224,34 +224,15 @@ def anomaly_threshold(sigma: float) -> float:
     return float(sigma * np.sqrt(8.0 * np.log(3.0)))
 
 
-def golden_section_minimize(f, lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Golden-section minimum of a unimodal function, absolute bracket tolerance."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = f(d)
-    return 0.5 * (lo + hi)
-
-
-def max_reversal_delta(sigma: float, tol: float = 1e-9) -> float:
+def max_reversal_delta(sigma: float) -> float:
     """Coupling strength minimizing the sequential joint mean.
 
-    Golden-section search over (0, anomaly_threshold); the joint mean
-    vanishes at both bracket ends and is negative between them, so the
-    minimum is interior.  Stationarity is equivalent to
-    3 exp(-t) (1 - t) = 1 with t = delta^2 / (8 sigma^2), t ~ 0.4678.
+    With t = delta^2 / (8 sigma^2) the joint mean is sigma^2 t (1 - 3 e^-t) / 2,
+    stationary where 3 (1 - t) e^-t = 1: Newton's method from t = 0.5
+    converges in five steps to t* ~ 0.4678, and delta = sigma sqrt(8 t*).
     """
-
-    def joint(delta):
-        return closed_form_sequential(delta, sigma).xy_mm2
-
-    return golden_section_minimize(joint, 0.0, anomaly_threshold(sigma), tol)
+    _check_closed_form(sigma=sigma)
+    t = 0.5
+    for _ in range(5):
+        t -= (3.0 * (1.0 - t) * math.exp(-t) - 1.0) / (3.0 * (t - 2.0) * math.exp(-t))
+    return sigma * math.sqrt(8.0 * t)

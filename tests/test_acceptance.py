@@ -9,9 +9,9 @@ import math
 
 from scipy.optimize import brentq
 
+from seqweak import acceptance
 from seqweak.acceptance import (
-    _stationarity_root,
-    _timed,
+    _check,
     check_anomaly_region,
     check_calculus_agreement,
     check_closed_form_reproduction,
@@ -25,6 +25,7 @@ from seqweak.acceptance import (
     check_weak_limit,
 )
 from seqweak.errors import EmptyImage
+from seqweak.pointer import max_reversal_delta
 
 
 def report(result):
@@ -111,14 +112,27 @@ def test_image_lobe_weights():
 
 def test_stationarity_root_matches_brentq():
     want = brentq(lambda t: 3.0 * (1.0 - t) * math.exp(-t) - 1.0, 0.1, 0.9, xtol=1e-15)
-    assert abs(_stationarity_root() - want) <= 1e-12
+    assert abs(max_reversal_delta(1.0) ** 2 / 8.0 - want) <= 1e-12
+
+
+def test_extremum_check_fails_on_a_drifted_minimizer(monkeypatch):
+    # The reference, max_reversal_delta, does not go through find_extremum,
+    # so a minimizer 2e-4 off the root fails the 1e-4 tolerance.
+    def drifted(records, sigma_mm):
+        return max_reversal_delta(sigma_mm) + 2e-4, 0.0
+
+    monkeypatch.setattr(acceptance, "find_extremum", drifted)
+    result = report(check_extremum_consistency())
+    assert not result.passed
+    assert result.detail.startswith("minimizer 1.934783 sigma vs stationarity root 1.934583 (tol 1e-4)")
 
 
 def test_a_check_that_raises_a_simulation_error_fails_as_aborted():
-    def body():
+    @_check("probe")
+    def probe():
         raise EmptyImage("image carries no power")
 
-    result = _timed("probe", body)
+    result = probe()
     assert (result.name, result.passed) == ("probe", False)
     assert result.detail == "aborted: image carries no power"
     assert result.elapsed_s >= 0.0

@@ -14,6 +14,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -384,12 +385,24 @@ def test_image_alpha_beyond_the_float_range_exit_4(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_image_alpha_past_the_int_digit_limit_exit_4(tmp_path, capsys):
+    # 5001 digits is past int()'s 4300-digit limit; the outcome is that of 401.
+    out = tmp_path / "far.pgm"
+    assert main(["image", "--alpha", "1" + "0" * 5000, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        "error: engine failure: --alpha of 5001 digits shifts beyond the float range\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "command, power",
-    [("sweep", 60), ("image", 62), ("image", 64)],
+    [("sweep", 60), ("image", 62)]
+    + [(command, power) for power in (63, 64, 1024) for command in ("sweep", "image")],
 )
 def test_grid_beyond_numpy_array_size_exit_4(tmp_path, capsys, command, power):
-    # numpy refuses these sides before allocating anything.
+    # Refused on the side itself: numpy returns an empty arange at 2^63, and
+    # at 2^1024 the extent no longer converts to a float.
     side = 2**power
     out = tmp_path / "huge.out"
     argv = [command, "--grid-size", str(side), "--out", str(out)]
@@ -399,6 +412,23 @@ def test_grid_beyond_numpy_array_size_exit_4(tmp_path, capsys, command, power):
         f"error: engine failure: not enough memory "
         f"(a {side}x{side} grid exceeds numpy's array size limit)\n"
     )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("power", [1400, 17000])
+def test_grid_size_of_any_length_gets_the_outcome_of_its_kind(tmp_path, capsys, power):
+    # 2^1400 has 422 digits and 2^17000 has 5118, past int()'s 4300-digit
+    # limit; a power of two exits 4 and a power of ten is no grid side.
+    side = str(Decimal(2**power))
+    out = tmp_path / "huge.pgm"
+    assert main(["image", "--alpha", "1", "--grid-size", side, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        f"error: engine failure: not enough memory "
+        f"(a {side}x{side} grid exceeds numpy's array size limit)\n"
+    )
+    ten = "1" + "0" * (len(side) - 1)
+    assert main(["image", "--alpha", "1", "--grid-size", ten, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: grid sides must be powers of two >= 64\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -199,6 +199,16 @@ def test_init_gaussian_rejects_bad_grids():
         factored_gaussian(GridSpec(64, 64, 13.5), 0.2, HORIZONTAL)
 
 
+@pytest.mark.parametrize("power", [60, 63, 64, 1024])
+def test_sides_beyond_numpy_array_size_are_refused_on_the_ints(power):
+    # At 2^63 np.arange returns an empty array, and at 2^1024 the extent
+    # overflows the float conversion; the refusal precedes both.
+    grid = GridSpec(2**power, 64, 13.5)
+    for call in (lambda: position_coords(grid), lambda: factored_gaussian(grid, SIGMA, HORIZONTAL)):
+        with pytest.raises(MemoryError, match=f"a {2**power}x64 grid exceeds numpy's array size limit"):
+            call()
+
+
 def test_fourier_lens_unitary_and_reciprocal_width():
     field = factored_gaussian(GRID, SIGMA, HORIZONTAL)
     far = fourier_lens(field)

@@ -418,7 +418,7 @@ def test_max_reversal_matches_stationarity_root():
     for sigma in (1.0, 0.1116):
         want = sigma * np.sqrt(8.0 * t_root)
         got = max_reversal_delta(sigma)
-        assert got == pytest.approx(want, abs=1e-7)
+        assert got == pytest.approx(want, abs=1e-12)
         assert closed_form_sequential(got, sigma).xy_mm2 == pytest.approx(
             -0.20562999526589 * sigma**2, abs=1e-9 * sigma**2
         )
