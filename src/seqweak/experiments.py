@@ -44,6 +44,10 @@ from .qubit import HORIZONTAL, Observable, waveplate_hwp
 DEFAULT_SIGMA_MM = 0.1116
 MAX_SWEEP_STEPS = 100_000
 EXTREMUM_TOL_MM = 1e-9
+# Bytes of a grid sweep block's largest transient array: the 4 factors of a
+# train after both couplings, times the grid's longer side in complex128, per
+# coupling.  Blocks of 4 couplings at 256^2, 2 at 512^2, 1 from 1024^2 up.
+SWEEP_BLOCK_BYTES = 64 * 1024
 
 CSV_HEADER = (
     "delta_mm,x_analytic_mm,y_analytic_mm,xy_analytic_mm2,"
@@ -155,12 +159,17 @@ def analytic_deflections(scenario: Scenario, delta_mm: float) -> DeflectionTripl
     )
 
 
-def grid_deflections(scenario: Scenario, delta_mm: float, grid: GridSpec) -> DeflectionTriple:
-    """Deflections read off the simulated optical train on the grid."""
-    beam = _grid(scenario, grid)
+def _grid_train(scenario: Scenario, delta_mm, beam) -> DeflectionTriple:
+    """The train on the prepared grid beam, read by its moments: floats for a
+    coupling, arrays for a 1-D array (a block) of them."""
     return _run_train(
         scenario, delta_mm, beam, apply_factored_unitary, apply_factored_shift, factored_means
     )
+
+
+def grid_deflections(scenario: Scenario, delta_mm: float, grid: GridSpec) -> DeflectionTriple:
+    """Deflections read off the simulated optical train on the grid."""
+    return _grid_train(scenario, delta_mm, _grid(scenario, grid))
 
 
 def scenario_intensity_image(scenario: Scenario, delta_mm: float, grid: GridSpec) -> IntensityImage:
@@ -174,32 +183,67 @@ def scenario_intensity_image(scenario: Scenario, delta_mm: float, grid: GridSpec
     )
 
 
+def _grid_block(scenario: Scenario, beam, deltas: list[float]) -> list[DeflectionTriple]:
+    """Grid deflections of a block of couplings from one run of the train, a
+    lone coupling as a scalar.  A failing block is halved until the failure
+    names its first failing coupling, as a point-by-point run would."""
+    try:
+        if len(deltas) == 1:
+            return [_grid_train(scenario, deltas[0], beam)]
+        block = _grid_train(scenario, np.array(deltas), beam)
+    except SimulationError as exc:
+        if len(deltas) == 1:
+            raise SweepEngineError(deltas[0], str(exc)) from exc
+        half = len(deltas) // 2
+        return _grid_block(scenario, beam, deltas[:half]) + _grid_block(scenario, beam, deltas[half:])
+    return [
+        DeflectionTriple(*triple)
+        for triple in zip(block.x_mm.tolist(), block.y_mm.tolist(), block.xy_mm2.tolist())
+    ]
+
+
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Run the sweep, ascending delta, one record per point.
 
-    The scenario carries the prepared calculus pointer; the grid beam is
-    prepared once, at the first point, and shared by all.
+    The scenario carries the prepared calculus pointer, and the calculus runs
+    point by point.  The grid beam is prepared once, at the first point; the
+    grid runs Delta = 0 as its own point and the nonzero couplings in blocks,
+    one train per block (SWEEP_BLOCK_BYTES).  A failure names the first
+    failing point, and at one point the calculus fails first.
     """
+    deltas = np.linspace(spec.delta_start_mm, spec.delta_stop_mm, spec.steps).tolist()
+    size = len(deltas)
+    if Engine.GRID in spec.engines:
+        size = max(1, SWEEP_BLOCK_BYTES // (4 * 16 * max(spec.grid.nx, spec.grid.ny)))
+    first = 1 if deltas[0] == 0.0 else 0
+    blocks = [deltas[:first]] + [deltas[i:i + size] for i in range(first, len(deltas), size)]
     records = []
-    beam = None
-    for delta in np.linspace(spec.delta_start_mm, spec.delta_stop_mm, spec.steps):
-        delta = float(delta)
-        analytic = grid_triple = discrepancy = None
-        try:
-            if Engine.ANALYTIC in spec.engines:
-                analytic = analytic_deflections(spec.scenario, delta)
-            if Engine.GRID in spec.engines:
-                if beam is None:
+    beam = failure = None
+    for block in filter(None, blocks):
+        analytic = [None] * len(block)
+        if Engine.ANALYTIC in spec.engines:
+            for i, delta in enumerate(block):
+                try:
+                    analytic[i] = analytic_deflections(spec.scenario, delta)
+                except SimulationError as exc:
+                    failure, block = (delta, exc), block[:i]
+                    break
+        grid_triples = [None] * len(block)
+        if Engine.GRID in spec.engines and block:
+            if beam is None:
+                try:
                     beam = _grid(spec.scenario, spec.grid)
-                grid_triple = _run_train(
-                    spec.scenario, delta, beam,
-                    apply_factored_unitary, apply_factored_shift, factored_means,
-                )
-        except SimulationError as exc:
+                except SimulationError as exc:
+                    raise SweepEngineError(block[0], str(exc)) from exc
+            grid_triples = _grid_block(spec.scenario, beam, block)
+        for delta, analytic_triple, grid_triple in zip(block, analytic, grid_triples):
+            discrepancy = None
+            if analytic_triple is not None and grid_triple is not None:
+                discrepancy = abs(grid_triple.xy_mm2 - analytic_triple.xy_mm2)
+            records.append(SweepRecord(delta, analytic_triple, grid_triple, discrepancy))
+        if failure is not None:
+            delta, exc = failure
             raise SweepEngineError(delta, str(exc)) from exc
-        if analytic is not None and grid_triple is not None:
-            discrepancy = abs(grid_triple.xy_mm2 - analytic.xy_mm2)
-        records.append(SweepRecord(delta, analytic, grid_triple, discrepancy))
     return records
 
 

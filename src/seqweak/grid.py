@@ -91,7 +91,9 @@ class GridSpec:
 class FactoredField:
     """Field sum_k pol_k (x) rows_k (x) cols_k in position or momentum space;
     pol (H, V) is k x 2, rows (y profiles, row 0 on top) k x ny, cols
-    (x profiles) k x nx."""
+    (x profiles) k x nx.  A shift by a block of d couplings gives the profiles
+    it moves a leading axis, d x k x ny or d x k x nx: one field per coupling,
+    sharing pol and every profile no coupling moved."""
 
     grid: GridSpec
     pol: np.ndarray
@@ -193,23 +195,30 @@ def fourier_lens(field: FactoredField) -> FactoredField:
     )
 
 
-def _phase(grid: GridSpec, delta_mm: float, axis: Axis) -> np.ndarray:
-    """exp(i delta eta) along the axis, eta in natural (unshifted) frequency
-    order: integer wavenumbers times the momentum step, negated for y, whose
-    rows run downwards."""
+def _phase(grid: GridSpec, delta_mm, axis: Axis) -> np.ndarray:
+    """exp(i delta eta) along the axis, one row per coupling of a block, eta in
+    natural (unshifted) frequency order: integer wavenumbers times the momentum
+    step, negated for y, whose rows run downwards."""
     side = grid.nx if axis is Axis.X else grid.ny
     eta = np.fft.fftfreq(side, 1.0 / side) * (2.0 * np.pi / (side * grid.pixel_mm))
-    return np.exp(1j * delta_mm * (eta if axis is Axis.X else -eta))
+    return np.exp(1j * np.multiply.outer(delta_mm, eta if axis is Axis.X else -eta))
 
 
 def _act_on_h(field: FactoredField, axis: Axis, act) -> FactoredField:
     """Each factor splits into its H part, whose x (cols) or y (rows) profile
-    goes through act, and its V part, which stays."""
+    goes through act, and its V part, which stays; the V part takes any
+    leading coupling axis act gave the H part."""
     pol = np.concatenate([field.pol * [1.0, 0.0], field.pol * [0.0, 1.0]])
-    rows, cols = [field.rows, field.rows], [field.cols, field.cols]
-    moving = cols if axis is Axis.X else rows
-    moving[0] = act(moving[0])
-    return FactoredField(field.grid, pol, np.concatenate(rows), np.concatenate(cols), field.space)
+    rows, cols = (field.rows, field.rows), (field.cols, field.cols)
+    if axis is Axis.X:
+        moved = act(field.cols)
+        cols = (moved, np.broadcast_to(field.cols, moved.shape))
+    else:
+        moved = act(field.rows)
+        rows = (moved, np.broadcast_to(field.rows, moved.shape))
+    return FactoredField(
+        field.grid, pol, np.concatenate(rows, axis=-2), np.concatenate(cols, axis=-2), field.space
+    )
 
 
 def apply_slm_mask(field: FactoredField, alpha: int, axis: Axis) -> FactoredField:
@@ -236,25 +245,32 @@ def apply_slm_mask(field: FactoredField, alpha: int, axis: Axis) -> FactoredFiel
     return _act_on_h(field, axis, lambda profiles: profiles * centered)
 
 
-def _check_shift(grid: GridSpec, delta_mm: float, axis: Axis) -> None:
+def _check_shift(grid: GridSpec, delta_mm, axis: Axis) -> None:
     extent = grid.extent_x_mm if axis is Axis.X else grid.extent_y_mm
-    if not abs(delta_mm) < extent / 4.0:  # NaN fails too
+    size = np.abs(delta_mm)
+    if not np.all(size < extent / 4.0):  # NaN fails too
         raise ShiftTooLarge(
-            f"|delta| = {abs(delta_mm):g} mm exceeds a quarter of the {extent:g} mm extent"
+            f"|delta| = {np.max(size):g} mm exceeds a quarter of the {extent:g} mm extent"
         )
 
 
-def apply_factored_shift(field: FactoredField, delta_mm: float, axis: Axis) -> FactoredField:
+def apply_factored_shift(field: FactoredField, delta_mm, axis: Axis) -> FactoredField:
     """Displace the H part by +delta along the axis: a 1-D DFT of its x (cols)
     or y (rows) profiles, the axis's spectral phase, the inverse DFT; the V
     part stays.  The same operator, Nyquist bin included, as a lens, a
-    matching grating and the rest of the relay."""
+    matching grating and the rest of the relay.
+
+    delta may be a 1-D array, a block of couplings: the moved profiles then
+    take a leading axis, one entry per coupling, while the DFT of profiles
+    that carry no such axis runs once for the block.  A zero coupling is the
+    identity and keeps the factor count; a block that mixes it with nonzero
+    ones sends it through a unit phase, so run Delta = 0 on its own."""
     if field.space is not Space.POSITION:
         raise WrongSpace("conditional shifts act on the position-space field")
     _check_shift(field.grid, delta_mm, axis)
-    if delta_mm == 0.0:
+    if not np.any(delta_mm):
         return field
-    phase = _phase(field.grid, delta_mm, axis)
+    phase = _phase(field.grid, delta_mm, axis)[..., None, :]
     return _act_on_h(field, axis, lambda profiles: np.fft.fft(np.fft.ifft(profiles) * phase))
 
 
@@ -309,17 +325,22 @@ def discrete_means(image: IntensityImage) -> DeflectionTriple:
 def factored_means(field: FactoredField) -> DeflectionTriple:
     """discrete_means of the factored field's intensity without forming it:
     each pixel sum is sum_kl (pol_k^H pol_l)(rows_k^H Y rows_l)(cols_k^H X cols_l),
-    with Y and X the coordinate or one."""
+    with Y and X the coordinate or one.  Floats for a field; for a block of
+    couplings (profiles with a leading axis), arrays with one entry each."""
     if field.space is not Space.POSITION:
         raise WrongSpace("moments are read off the position-space field")
     x, y = position_coords(field.grid)
     pols = field.pol.conj() @ field.pol.T
-    rows = [pols * ((field.rows.conj() * w) @ field.rows.T) for w in (1.0, y)]
-    cols = [(field.cols.conj() * w) @ field.cols.T for w in (1.0, x)]
-    (total, x_sum), (y_sum, xy_sum) = [[float((r * c).sum().real) for c in cols] for r in rows]
-    if total <= 0.0:
+    # Weighting by 1.0 too keeps the bra a new array: conj() of real profiles
+    # is the array itself, and matmul of an array with its own transpose takes
+    # BLAS's symmetric product, whose last bits differ.
+    rows = [pols * ((field.rows.conj() * w) @ field.rows.mT) for w in (1.0, y)]
+    cols = [(field.cols.conj() * w) @ field.cols.mT for w in (1.0, x)]
+    (total, x_sum), (y_sum, xy_sum) = [[(r * c).sum(axis=(-2, -1)).real for c in cols] for r in rows]
+    if np.any(total <= 0.0):
         raise EmptyImage("image carries no power")
-    return DeflectionTriple(x_mm=x_sum / total, y_mm=y_sum / total, xy_mm2=xy_sum / total)
+    means = [s / total for s in (x_sum, y_sum, xy_sum)]
+    return DeflectionTriple(*(means if np.ndim(total) else map(float, means)))
 
 
 def render_pgm(image: IntensityImage) -> bytes:
@@ -338,4 +359,4 @@ def render_raw(image: IntensityImage) -> bytes:
     header = b"WMGRID01" + struct.pack(
         "<IId", image.grid.nx, image.grid.ny, image.grid.pixel_um
     )
-    return header + image.values.astype("<f8").tobytes()
+    return b"".join((header, image.values.astype("<f8", order="C", copy=False)))

@@ -213,6 +213,14 @@ def closed_form_single_coupling(delta: float) -> DeflectionTriple:
     return DeflectionTriple(x_mm=delta / 4.0, y_mm=0.0, xy_mm2=0.0)
 
 
+def _finite_length(value: float, name: str, sigma: float) -> float:
+    """A coupling strength, sigma times a constant; OutOfFloatRange once it
+    overflows, from sigma of about 6e307 mm up."""
+    if not math.isfinite(value):
+        raise OutOfFloatRange(f"the {name} overflows at sigma = {sigma:g} mm")
+    return float(value)
+
+
 def anomaly_threshold(sigma: float) -> float:
     """Coupling strength where the sequential joint mean crosses zero.
 
@@ -221,7 +229,7 @@ def anomaly_threshold(sigma: float) -> float:
     shift the beam in the positive direction.
     """
     _check_closed_form(sigma=sigma)
-    return float(sigma * np.sqrt(8.0 * np.log(3.0)))
+    return _finite_length(sigma * float(np.sqrt(8.0 * np.log(3.0))), "anomaly threshold", sigma)
 
 
 def max_reversal_delta(sigma: float) -> float:
@@ -235,4 +243,4 @@ def max_reversal_delta(sigma: float) -> float:
     t = 0.5
     for _ in range(5):
         t -= (3.0 * (1.0 - t) * math.exp(-t) - 1.0) / (3.0 * (t - 2.0) * math.exp(-t))
-    return sigma * math.sqrt(8.0 * t)
+    return _finite_length(sigma * math.sqrt(8.0 * t), "deepest reversal", sigma)

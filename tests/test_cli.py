@@ -323,6 +323,27 @@ def test_sweep_steps_over_cap_exit_2_before_allocating(tmp_path, capsys, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_long_grid_sweep_keeps_its_blocks_small(tmp_path):
+    # Bound stated before measuring: a block's transient arrays take at most
+    # SWEEP_BLOCK_BYTES (64 KiB) each, a dozen of them well under 1 MiB, and
+    # 401 records with their CSV about 0.5 MiB, so the peak stays below
+    # 2 MiB.  One block of all 400 nonzero couplings would need 6.4 MB for
+    # each of its largest arrays.
+    out = tmp_path / "long.csv"
+    argv = ["sweep", "--engine", "both", "--grid-size", "256", "--delta-range", "0:0.8:401",
+            "--out", str(out)]
+    assert main(argv) == 0  # warm-up: first-call caches are not the sweep's
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert len(read_csv_rows(out)[1]) == 401
+    assert peak < 2 * 1024 * 1024
+
+
 def test_sweep_engine_failure_exit_4_names_delta(tmp_path, capsys):
     out = tmp_path / "fail.csv"
     rc = main(

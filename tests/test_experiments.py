@@ -1,6 +1,7 @@
 """Checks for the sweep harness, calibration helpers, and CSV export."""
 
 import math
+import random
 import warnings
 
 import numpy as np
@@ -10,7 +11,15 @@ from test_grid import run_grid_chain
 from test_pointer import run_chain
 
 from seqweak import experiments, grid
-from seqweak.errors import GridTooCoarse, NoInteriorExtremum, NoSignChange, SweepEngineError
+from seqweak.errors import (
+    GridTooCoarse,
+    NoInteriorExtremum,
+    NoSignChange,
+    OutOfFloatRange,
+    ShiftTooLarge,
+    SimulationError,
+    SweepEngineError,
+)
 from seqweak.experiments import (
     CSV_HEADER,
     DEFAULT_SIGMA_MM,
@@ -244,6 +253,108 @@ def test_grid_sweep_matches_pointwise_deflections(kind):
     spec = SweepSpec(scenario, 0.0, 0.5, 5, engines=frozenset({Engine.GRID}), grid=GRID)
     records = run_sweep(spec)
     assert [r.grid for r in records] == [grid_deflections(scenario, r.delta_mm, GRID) for r in records]
+
+
+def pointwise_sweep(spec):
+    """The point-by-point sweep that the grid's blocks replace: at each delta
+    the calculus, then grid_deflections, and the first failure names its delta."""
+    records = []
+    for delta in np.linspace(spec.delta_start_mm, spec.delta_stop_mm, spec.steps).tolist():
+        analytic = grid_triple = discrepancy = None
+        try:
+            if Engine.ANALYTIC in spec.engines:
+                analytic = experiments.analytic_deflections(spec.scenario, delta)
+            if Engine.GRID in spec.engines:
+                grid_triple = grid_deflections(spec.scenario, delta, spec.grid)
+        except SimulationError as exc:
+            raise SweepEngineError(delta, str(exc)) from exc
+        if analytic is not None and grid_triple is not None:
+            discrepancy = abs(grid_triple.xy_mm2 - analytic.xy_mm2)
+        records.append(SweepRecord(delta, analytic, grid_triple, discrepancy))
+    return records
+
+
+def sweep_outcome(run, spec):
+    """The CSV bytes of a sweep, or its error, its coupling and its cause."""
+    try:
+        return records_to_csv(run(spec))
+    except SweepEngineError as err:
+        return str(err), err.delta_mm, type(err.__cause__)
+
+
+def random_sweep(rng):
+    """A seeded sweep: any train, default or random plate angles, both engine
+    sets that run the grid, a start at 0 or above it, 2 to 41 steps, and
+    square or oblong grids, with stops that reach past a quarter of the
+    extent in some of them."""
+    nx, ny = rng.choice([(128, 128), (256, 256), (128, 256), (256, 128)])
+    grid_spec = GridSpec(nx, ny, 13.5)
+    extent = min(nx, ny) * 0.0135
+    angles = rng.choice([(30.0, -30.0), (rng.uniform(-90, 90), rng.uniform(-90, 90))])
+    scenario = Scenario(rng.choice(ALL_KINDS), rng.uniform(0.055, extent / 6.0), *angles)
+    start = rng.choice([0.0, rng.uniform(0.0, extent / 8.0)])
+    stop = start + rng.uniform(0.01, extent / rng.choice([3.0, 4.5]))
+    engines = rng.choice([frozenset({Engine.GRID}), BOTH])
+    return SweepSpec(scenario, start, stop, rng.randint(2, 41), engines=engines, grid=grid_spec)
+
+
+def test_grid_blocks_give_the_pointwise_bytes():
+    # Every grid point of a block, Delta = 0 included, carries the bits that
+    # grid_deflections gives at its coupling alone, and a failing block names
+    # the coupling a point-by-point run fails at, with the same message.
+    rng = random.Random(14)
+    failed = 0
+    for _ in range(60):
+        spec = random_sweep(rng)
+        want = sweep_outcome(pointwise_sweep, spec)
+        assert sweep_outcome(run_sweep, spec) == want, spec
+        failed += isinstance(want, tuple)
+    assert 5 <= failed <= 40  # both outcomes are exercised
+
+
+def nine_steps(kind=ScenarioKind.SEQUENTIAL, engines=BOTH, sides=(64, 64)):
+    """0:0.64:9 at sigma 0.1 mm on 13.5 um pixels: on 64 of them the 4th
+    coupling, 0.24 mm, is the first past a quarter of the 0.864 mm extent."""
+    grid_spec = GridSpec(*sides, 13.5)
+    return SweepSpec(Scenario(kind, sigma_mm=0.1), 0.0, 0.64, 9, engines=engines, grid=grid_spec)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("engines", [frozenset({Engine.GRID}), BOTH], ids=["grid", "both"])
+@pytest.mark.parametrize("sides", [(64, 64), (128, 64), (64, 128)])
+def test_a_failure_inside_a_block_names_its_first_coupling(kind, engines, sides):
+    # Delta = 0 runs alone, and the failing 0.24 mm sits in the middle of the
+    # next block.  On an oblong grid the y shift fails first whenever y is
+    # the short side, after x has passed the whole block.
+    spec = nine_steps(kind, engines, sides)
+    outcome = sweep_outcome(run_sweep, spec)
+    assert outcome == sweep_outcome(pointwise_sweep, spec)
+    message, delta, cause = outcome
+    if kind is ScenarioKind.SINGLE and sides == (128, 64):
+        assert (delta, cause) == (pytest.approx(0.48), ShiftTooLarge)  # x alone, 1.728 mm
+    else:
+        assert (delta, cause) == (pytest.approx(0.24), ShiftTooLarge)
+    assert message.startswith(f"engine failure at delta = {delta:g} mm: |delta| = {delta:g} mm")
+
+
+@pytest.mark.parametrize("failing_index", [2, 3, 5])
+def test_a_calculus_failure_at_an_earlier_or_equal_point_wins(failing_index, monkeypatch):
+    # The grid fails at the 4th of 9 couplings (index 3); the calculus runs
+    # first at each point, so it wins at index 2 and 3 and loses at 5.
+    deltas = np.linspace(0.0, 0.64, 9).tolist()
+    calculus = experiments.analytic_deflections
+
+    def failing(scenario, delta):
+        if delta >= deltas[failing_index]:
+            raise OutOfFloatRange("the calculus overflows")
+        return calculus(scenario, delta)
+
+    monkeypatch.setattr(experiments, "analytic_deflections", failing)
+    spec = nine_steps()
+    message, delta, cause = want = sweep_outcome(pointwise_sweep, spec)
+    assert sweep_outcome(run_sweep, spec) == want
+    assert delta == deltas[min(failing_index, 3)]
+    assert cause is (OutOfFloatRange if failing_index <= 3 else ShiftTooLarge)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

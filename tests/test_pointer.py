@@ -425,6 +425,18 @@ def test_max_reversal_matches_stationarity_root():
     assert round(max_reversal_delta(1.0), 3) == 1.935
 
 
+@pytest.mark.parametrize("length", [anomaly_threshold, max_reversal_delta])
+def test_a_width_whose_length_overflows_is_refused(length):
+    # sigma times sqrt(8 ln 3) or sqrt(8 t*) leaves the double range from
+    # about 6e307 mm up: the length names the width instead of warning or
+    # returning inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfFloatRange, match=r"overflows at sigma = 1e\+308 mm"):
+            length(1e308)
+        assert math.isfinite(length(5e307))
+
+
 def test_superposition_requires_terms():
     with pytest.raises(ValueError):
         GaussianSuperposition(terms=(), sigma=0.2)
