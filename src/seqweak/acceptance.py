@@ -40,6 +40,7 @@ from .grid import (
 )
 from .pointer import (
     Axis,
+    DeflectionTriple,
     anomaly_threshold,
     closed_form_sequential,
     closed_form_two_qubit,
@@ -101,6 +102,11 @@ def _random_observable(rng) -> Observable:
     return Observable((m + m.conj().T) / 2.0)
 
 
+def _gap(got: DeflectionTriple, want: DeflectionTriple) -> float:
+    """Largest absolute difference of the two triples' x, y and xy."""
+    return max(abs(got.x_mm - want.x_mm), abs(got.y_mm - want.y_mm), abs(got.xy_mm2 - want.xy_mm2))
+
+
 @_check("closed-form-reproduction")
 def check_closed_form_reproduction() -> tuple[bool, str]:
     sigma = DEFAULT_SIGMA_MM
@@ -110,12 +116,7 @@ def check_closed_form_reproduction() -> tuple[bool, str]:
         delta = float(delta)
         got = analytic_deflections(scenario, delta)
         want = closed_form_sequential(delta, sigma)
-        worst = max(
-            worst,
-            abs(got.x_mm - want.x_mm),
-            abs(got.y_mm - want.y_mm),
-            abs(got.xy_mm2 - want.xy_mm2),
-        )
+        worst = max(worst, _gap(got, want))
     return worst <= 1e-12, f"max deviation {worst:.2e} over 25 couplings (tol 1e-12)"
 
 
@@ -201,13 +202,7 @@ def check_two_qubit_nonnegativity() -> tuple[bool, str]:
         triple = analytic_deflections(Scenario(ScenarioKind.TWO_QUBIT, sigma_mm=sigma), delta)
         want = closed_form_two_qubit(delta)
         nonneg = nonneg and triple.xy_mm2 >= 0.0
-        worst = max(
-            worst,
-            abs(triple.xy_mm2 - triple.x_mm * triple.y_mm),
-            abs(triple.xy_mm2 - want.xy_mm2),
-            abs(triple.x_mm - want.x_mm),
-            abs(triple.y_mm - want.y_mm),
-        )
+        worst = max(worst, abs(triple.xy_mm2 - triple.x_mm * triple.y_mm), _gap(triple, want))
     ok = nonneg and worst <= 1e-12
     return ok, (
         f"1000 random couplings: joint mean nonnegative: {nonneg}; "
@@ -266,12 +261,7 @@ def check_calculus_agreement() -> tuple[bool, str]:
         delta = rng.uniform(0.0, 5.0 * sigma)
         calc = analytic_deflections(Scenario(ScenarioKind.SEQUENTIAL, sigma_mm=sigma), delta)
         closed = closed_form_sequential(delta, sigma)
-        worst = max(
-            worst,
-            abs(calc.x_mm - closed.x_mm),
-            abs(calc.y_mm - closed.y_mm),
-            abs(calc.xy_mm2 - closed.xy_mm2),
-        )
+        worst = max(worst, _gap(calc, closed))
     ok = worst <= 1e-10
     return ok, f"200 random (delta, sigma): max deviation {worst:.2e} (tol 1e-10)"
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -104,6 +105,8 @@ class SweepSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "engines", frozenset(self.engines))
+        if not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise ValueError("a sweep needs at least two points")
         if self.steps > MAX_SWEEP_STEPS:
@@ -183,67 +186,55 @@ def scenario_intensity_image(scenario: Scenario, delta_mm: float, grid: GridSpec
     )
 
 
-def _grid_block(scenario: Scenario, beam, deltas: list[float]) -> list[DeflectionTriple]:
-    """Grid deflections of a block of couplings from one run of the train, a
-    lone coupling as a scalar.  A failing block is halved until the failure
-    names its first failing coupling, as a point-by-point run would."""
-    try:
-        if len(deltas) == 1:
-            return [_grid_train(scenario, deltas[0], beam)]
-        block = _grid_train(scenario, np.array(deltas), beam)
-    except SimulationError as exc:
-        if len(deltas) == 1:
-            raise SweepEngineError(deltas[0], str(exc)) from exc
-        half = len(deltas) // 2
-        return _grid_block(scenario, beam, deltas[:half]) + _grid_block(scenario, beam, deltas[half:])
-    return [
-        DeflectionTriple(*triple)
-        for triple in zip(block.x_mm.tolist(), block.y_mm.tolist(), block.xy_mm2.tolist())
-    ]
+def _grid_points(scenario: Scenario, grid: GridSpec, deltas: list[float]):
+    """Grid deflections of the ascending couplings, one per next().  The beam
+    is prepared at the first.  Each leading Delta = 0 runs on its own, as the
+    identity shift; the rest run in blocks (SWEEP_BLOCK_BYTES), one train per
+    block, a lone coupling as a scalar.  A failing block reruns point by
+    point, so its failure surfaces at its first failing coupling."""
+    beam = _grid(scenario, grid)
+    zeros = deltas.count(0.0)
+    for delta in deltas[:zeros]:
+        yield _grid_train(scenario, delta, beam)
+    size = max(1, SWEEP_BLOCK_BYTES // (4 * 16 * max(grid.nx, grid.ny)))
+    for i in range(zeros, len(deltas), size):
+        block = deltas[i:i + size]
+        try:
+            triples = _grid_train(scenario, np.array(block), beam) if len(block) > 1 else None
+        except SimulationError:
+            triples = None
+        if triples is None:
+            for delta in block:
+                yield _grid_train(scenario, delta, beam)
+        else:
+            columns = (triples.x_mm.tolist(), triples.y_mm.tolist(), triples.xy_mm2.tolist())
+            yield from map(DeflectionTriple, *columns)
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Run the sweep, ascending delta, one record per point.
 
-    The scenario carries the prepared calculus pointer, and the calculus runs
-    point by point.  The grid beam is prepared once, at the first point; the
-    grid runs Delta = 0 as its own point and the nonzero couplings in blocks,
-    one train per block (SWEEP_BLOCK_BYTES).  A failure names the first
-    failing point, and at one point the calculus fails first.
+    At each point the calculus runs on the scenario's prepared pointer, then
+    the grid takes its next point from _grid_points, which prepares the beam
+    once and runs the train once per block of couplings.  A failure names
+    the first failing point, and at one point the calculus fails first.
     """
     deltas = np.linspace(spec.delta_start_mm, spec.delta_stop_mm, spec.steps).tolist()
-    size = len(deltas)
     if Engine.GRID in spec.engines:
-        size = max(1, SWEEP_BLOCK_BYTES // (4 * 16 * max(spec.grid.nx, spec.grid.ny)))
-    first = 1 if deltas[0] == 0.0 else 0
-    blocks = [deltas[:first]] + [deltas[i:i + size] for i in range(first, len(deltas), size)]
+        grid_points = _grid_points(spec.scenario, spec.grid, deltas)
     records = []
-    beam = failure = None
-    for block in filter(None, blocks):
-        analytic = [None] * len(block)
-        if Engine.ANALYTIC in spec.engines:
-            for i, delta in enumerate(block):
-                try:
-                    analytic[i] = analytic_deflections(spec.scenario, delta)
-                except SimulationError as exc:
-                    failure, block = (delta, exc), block[:i]
-                    break
-        grid_triples = [None] * len(block)
-        if Engine.GRID in spec.engines and block:
-            if beam is None:
-                try:
-                    beam = _grid(spec.scenario, spec.grid)
-                except SimulationError as exc:
-                    raise SweepEngineError(block[0], str(exc)) from exc
-            grid_triples = _grid_block(spec.scenario, beam, block)
-        for delta, analytic_triple, grid_triple in zip(block, analytic, grid_triples):
-            discrepancy = None
-            if analytic_triple is not None and grid_triple is not None:
-                discrepancy = abs(grid_triple.xy_mm2 - analytic_triple.xy_mm2)
-            records.append(SweepRecord(delta, analytic_triple, grid_triple, discrepancy))
-        if failure is not None:
-            delta, exc = failure
+    for delta in deltas:
+        analytic = grid_triple = discrepancy = None
+        try:
+            if Engine.ANALYTIC in spec.engines:
+                analytic = analytic_deflections(spec.scenario, delta)
+            if Engine.GRID in spec.engines:
+                grid_triple = next(grid_points)
+        except SimulationError as exc:
             raise SweepEngineError(delta, str(exc)) from exc
+        if analytic is not None and grid_triple is not None:
+            discrepancy = abs(grid_triple.xy_mm2 - analytic.xy_mm2)
+        records.append(SweepRecord(delta, analytic, grid_triple, discrepancy))
     return records
 
 

@@ -26,6 +26,7 @@ v_plane, as the detector image's intensity does.
 from __future__ import annotations
 
 import enum
+import numbers
 import struct
 import sys
 from dataclasses import dataclass, replace
@@ -64,7 +65,9 @@ class GridSpec:
     pixel_um: float
 
     def __post_init__(self):
-        for side in (self.nx, self.ny):
+        for name, side in (("nx", self.nx), ("ny", self.ny)):
+            if not isinstance(side, numbers.Integral):
+                raise ValueError(f"grid side {name} must be an integer, got {side!r}")
             if side < MIN_GRID_SIDE or side & (side - 1):
                 raise ValueError(f"grid sides must be powers of two >= {MIN_GRID_SIDE}")
         if not self.pixel_um > 0.0:

@@ -344,6 +344,16 @@ def test_a_long_grid_sweep_keeps_its_blocks_small(tmp_path):
     assert peak < 2 * 1024 * 1024
 
 
+@pytest.mark.parametrize("steps", [5, 9])
+def test_a_grid_sweep_over_repeated_zero_couplings_succeeds(tmp_path, capsys, steps):
+    # 0:5e-324:9 repeats 0.0 over a whole block of couplings.
+    out = tmp_path / "zeros.csv"
+    argv = ["sweep", "--engine", "grid", "--delta-range", f"0:5e-324:{steps}", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert len(read_csv_rows(out)[1]) == steps
+
+
 def test_sweep_engine_failure_exit_4_names_delta(tmp_path, capsys):
     out = tmp_path / "fail.csv"
     rc = main(

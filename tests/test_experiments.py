@@ -83,6 +83,10 @@ def test_sweep_spec_validation():
     assert SweepSpec(scenario=scenario, steps=MAX_SWEEP_STEPS).steps == MAX_SWEEP_STEPS
     with pytest.raises(ValueError, match=str(MAX_SWEEP_STEPS)):
         SweepSpec(scenario=scenario, steps=MAX_SWEEP_STEPS + 1)
+    for bad in (2.5, 31.0, np.float64(31.0)):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            SweepSpec(scenario=scenario, steps=bad)
+    assert SweepSpec(scenario=scenario, steps=np.int64(5)).steps == 5
 
 
 def test_scenario_builds_its_plates_once(monkeypatch):
@@ -256,8 +260,8 @@ def test_grid_sweep_matches_pointwise_deflections(kind):
 
 
 def pointwise_sweep(spec):
-    """The point-by-point sweep that the grid's blocks replace: at each delta
-    the calculus, then grid_deflections, and the first failure names its delta."""
+    """The sweep with no blocks and no shared beam: at each delta the
+    calculus, then grid_deflections, and the first failure names its delta."""
     records = []
     for delta in np.linspace(spec.delta_start_mm, spec.delta_stop_mm, spec.steps).tolist():
         analytic = grid_triple = discrepancy = None
@@ -337,10 +341,23 @@ def test_a_failure_inside_a_block_names_its_first_coupling(kind, engines, sides)
     assert message.startswith(f"engine failure at delta = {delta:g} mm: |delta| = {delta:g} mm")
 
 
-@pytest.mark.parametrize("failing_index", [2, 3, 5])
+def test_a_failing_sweep_stops_the_calculus_at_its_failing_point(monkeypatch):
+    # The grid fails at the 4th of 9 couplings; no point past it is computed.
+    calls = []
+    calculus = experiments.analytic_deflections
+    monkeypatch.setattr(
+        experiments, "analytic_deflections", lambda *args: calls.append(args) or calculus(*args)
+    )
+    with pytest.raises(SweepEngineError):
+        run_sweep(nine_steps())
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("failing_index", [0, 2, 3, 5])
 def test_a_calculus_failure_at_an_earlier_or_equal_point_wins(failing_index, monkeypatch):
     # The grid fails at the 4th of 9 couplings (index 3); the calculus runs
-    # first at each point, so it wins at index 2 and 3 and loses at 5.
+    # first at each point, so it wins at index 0 (before the grid beam is
+    # prepared), 2 and 3, and loses at 5.
     deltas = np.linspace(0.0, 0.64, 9).tolist()
     calculus = experiments.analytic_deflections
 
@@ -355,6 +372,18 @@ def test_a_calculus_failure_at_an_earlier_or_equal_point_wins(failing_index, mon
     assert sweep_outcome(run_sweep, spec) == want
     assert delta == deltas[min(failing_index, 3)]
     assert cause is (OutOfFloatRange if failing_index <= 3 else ShiftTooLarge)
+
+
+@pytest.mark.parametrize("steps", [5, 9])
+def test_repeated_zero_couplings_each_run_alone(steps):
+    # linspace(0, 5e-324, steps) repeats 0.0: at 9 steps a whole block of 4
+    # is zeros, at 5 a block mixes them with 5e-324.  Every zero is the
+    # identity shift that grid_deflections runs at 0.0.
+    scenario = Scenario(ScenarioKind.SEQUENTIAL)
+    spec = SweepSpec(scenario, 0.0, 5e-324, steps, engines=BOTH, grid=GRID)
+    records = run_sweep(spec)
+    assert [r.delta_mm for r in records].count(0.0) == steps // 2 + 1
+    assert [r.grid for r in records] == [grid_deflections(scenario, r.delta_mm, GRID) for r in records]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

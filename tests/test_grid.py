@@ -162,6 +162,11 @@ def test_grid_spec_validation():
         GridSpec(nx=32, ny=32, pixel_um=13.5)
     with pytest.raises(ValueError):
         GridSpec(nx=256, ny=256, pixel_um=0.0)
+    with pytest.raises(ValueError, match="grid side nx must be an integer, got 256.0"):
+        GridSpec(256.0, 256, 13.5)
+    with pytest.raises(ValueError, match="grid side ny must be an integer"):
+        GridSpec(256, np.float64(128.0), 13.5)
+    assert GridSpec(np.int64(256), np.int32(128), 13.5).ny == 128
     assert GRID.extent_x_mm == pytest.approx(256 * 0.0135)
 
 
