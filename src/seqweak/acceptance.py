@@ -313,14 +313,17 @@ def check_image_lobes(fast: bool = False) -> tuple[bool, str]:
     grid = LOBE_GRID_FAST if fast else FINE_GRID
     image = scenario_intensity_image(Scenario(ScenarioKind.SEQUENTIAL, sigma_mm=sigma), delta, grid)
     x, y = position_coords(grid)
-    col_hi = x >= delta / 2.0
-    row_hi = y >= delta / 2.0
-    weights = image.values / image.values.sum()
+    # x ascends and y descends, so the columns at x >= delta/2 follow the
+    # first `col` and the rows at y >= delta/2 are the first `row`.
+    col = grid.nx - int(np.count_nonzero(x >= delta / 2.0))
+    row = int(np.count_nonzero(y >= delta / 2.0))
+    values = image.values
+    total = values.sum()
     measured = {
-        "x=d,y=d": float(weights[np.ix_(row_hi, col_hi)].sum()),
-        "x=0,y=d": float(weights[np.ix_(row_hi, ~col_hi)].sum()),
-        "x=d,y=0": float(weights[np.ix_(~row_hi, col_hi)].sum()),
-        "x=0,y=0": float(weights[np.ix_(~row_hi, ~col_hi)].sum()),
+        "x=d,y=d": float(values[:row, col:].sum() / total),
+        "x=0,y=d": float(values[:row, :col].sum() / total),
+        "x=d,y=0": float(values[row:, col:].sum() / total),
+        "x=0,y=0": float(values[row:, :col].sum() / total),
     }
     targets = {
         "x=d,y=d": 1.0 / 16.0,

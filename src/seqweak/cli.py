@@ -252,7 +252,8 @@ def cmd_image(args) -> int:
 
     args.out.write_bytes(render_pgm(image))
     if args.raw is not None:
-        args.raw.write_bytes(render_raw(image))
+        with args.raw.open("wb") as out:
+            out.writelines(render_raw(image))
     means = discrete_means(image)
     print(
         f"wrote {grid.nx}x{grid.ny} image to {args.out}  "

@@ -105,6 +105,9 @@ class SweepSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "engines", frozenset(self.engines))
+        for engine in self.engines:
+            if not isinstance(engine, Engine):
+                raise ValueError(f"engines must be Engine members, got {engine!r}")
         if not isinstance(self.steps, numbers.Integral):
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
@@ -177,7 +180,8 @@ def grid_deflections(scenario: Scenario, delta_mm: float, grid: GridSpec) -> Def
 
 def scenario_intensity_image(scenario: Scenario, delta_mm: float, grid: GridSpec) -> IntensityImage:
     """Detector image of the single-beam trains (sequential or single): the
-    factored train, read out by its intensity, which forms the H and V planes once."""
+    factored train, read out by its intensity, which forms each of the H and V
+    planes once, band by band."""
     if scenario.kind is ScenarioKind.TWO_QUBIT:
         raise ValueError("the two-beam scenario has no single detector image")
     beam = _grid(scenario, grid)

@@ -18,9 +18,11 @@ x-profile, tagged with the space it lives in.  Plates mix each factor's
 part, whose x or y profile moves, and its V part; a lens is the 1-D
 centered DFT of every profile, since the 2-D DFT of a product is the
 product of the 1-D DFTs.  So a Gaussian beam stays a few factors through
-the whole train and the relay, sweeps read the moments off the factors,
-and an ny x nx plane is formed only when something reads h_plane or
-v_plane, as the detector image's intensity does.
+the whole train and the relay, and sweeps read the moments off the factors.
+A full ny x nx plane is formed only when something reads h_plane or
+v_plane.  The detector image forms its planes in bands of rows that stay
+in cache (BAND_BYTES), straight into the one full-size intensity array;
+each pixel takes the same operations as on whole planes, so the same bits.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ SLM_MM_PER_UNIT = 0.0237
 MIN_GRID_SIDE = 64
 WAIST_PIXELS_MIN = 4.0
 WAIST_EXTENT_FACTOR = 6.0
+# Bytes of one band of a complex128 plane in intensity and render_pgm: 16
+# rows at 1024^2, so a band's scratch buffers stay in a core's L2 cache.
+BAND_BYTES = 256 * 1024
 
 
 class Space(enum.Enum):
@@ -104,9 +109,10 @@ class FactoredField:
     cols: np.ndarray
     space: Space = Space.POSITION
 
-    def _plane(self, p: int) -> np.ndarray:
-        """rows^T diag(pol[:, p]) cols: the one place factors become an ny x nx plane."""
-        return (self.rows.T * self.pol[:, p]) @ self.cols
+    def _plane(self, p: int, band: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
+        """rows^T diag(pol[:, p]) cols over the band's rows, into out if given:
+        the one place factors become an ny x nx plane or a band of one."""
+        return np.matmul(self.rows.T[band] * self.pol[:, p], self.cols, out=out)
 
     @property
     def h_plane(self) -> np.ndarray:
@@ -128,8 +134,8 @@ class IntensityImage:
         values = np.asarray(self.values, dtype=float)
         if values.shape != (self.grid.ny, self.grid.nx):
             raise ValueError("image shape must match the grid")
-        if values.min() < 0.0:
-            raise ValueError("intensity values must be nonnegative")
+        if not (values.min() >= 0.0 and np.isfinite(values.max())):  # NaN fails the first test
+            raise ValueError("intensity values must be finite and nonnegative")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -302,9 +308,29 @@ def apply_polarization_unitary(field: FactoredField, u) -> FactoredField:
     return apply_factored_unitary(field, u)
 
 
+def _bands(grid: GridSpec) -> list[slice]:
+    """Row bands of BAND_BYTES of complex plane (at least one row) covering 0..ny."""
+    rows = max(1, BAND_BYTES // (16 * grid.nx))
+    return [slice(start, min(start + rows, grid.ny)) for start in range(0, grid.ny, rows)]
+
+
 def intensity(field: FactoredField) -> IntensityImage:
-    """Polarization-summed intensity |H|^2 + |V|^2 of the field's planes."""
-    values = np.abs(field.h_plane) ** 2 + np.abs(field.v_plane) ** 2
+    """Polarization-summed intensity |H|^2 + |V|^2 of the field's planes,
+    formed band by band into the one full-size array through two band-sized
+    scratch buffers."""
+    bands = _bands(field.grid)
+    values = np.empty((field.grid.ny, field.grid.nx))
+    shape = (bands[0].stop, field.grid.nx)
+    plane_rows = np.empty(shape, np.result_type(field.pol, field.rows, field.cols))
+    h_power_rows = np.empty(shape)
+    for band in bands:
+        n = band.stop - band.start
+        plane, h_power, out = plane_rows[:n], h_power_rows[:n], values[band]
+        field._plane(0, band, plane)
+        np.square(np.abs(plane, out=h_power), out=h_power)
+        field._plane(1, band, plane)
+        np.square(np.abs(plane, out=out), out=out)
+        np.add(h_power, out, out=out)
     return IntensityImage(grid=field.grid, values=values)
 
 
@@ -347,19 +373,26 @@ def factored_means(field: FactoredField) -> DeflectionTriple:
 
 
 def render_pgm(image: IntensityImage) -> bytes:
-    """16-bit binary PGM, values scaled so the brightest pixel is 65535."""
+    """16-bit binary PGM, values scaled so the brightest pixel is 65535:
+    scaled and rounded band by band, cast into one big-endian u16 buffer."""
     peak = image.values.max()
+    pixels = np.zeros(image.values.shape, ">u2")
     if peak > 0.0:
-        scaled = np.rint(image.values * (65535.0 / peak))
-    else:
-        scaled = np.zeros_like(image.values)
+        scale, bands = 65535.0 / peak, _bands(image.grid)
+        scaled_rows = np.empty((bands[0].stop, image.grid.nx))
+        for band in bands:
+            scaled = scaled_rows[: band.stop - band.start]
+            np.rint(np.multiply(image.values[band], scale, out=scaled), out=scaled)
+            pixels[band] = scaled
     header = f"P5\n{image.grid.nx} {image.grid.ny}\n65535\n".encode("ascii")
-    return header + scaled.astype(">u2").tobytes()
+    return b"".join((header, pixels))
 
 
-def render_raw(image: IntensityImage) -> bytes:
-    """Raw dump: magic, u32 sides, f64 pixel pitch, then row-major f64 values."""
+def render_raw(image: IntensityImage) -> tuple[bytes, np.ndarray]:
+    """Raw dump as (header, payload), to be written one after the other:
+    magic, u32 sides, f64 pixel pitch, then the row-major f64 values
+    themselves, not a copy."""
     header = b"WMGRID01" + struct.pack(
         "<IId", image.grid.nx, image.grid.ny, image.grid.pixel_um
     )
-    return b"".join((header, image.values.astype("<f8", order="C", copy=False)))
+    return header, image.values.astype("<f8", order="C", copy=False)

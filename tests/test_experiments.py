@@ -2,12 +2,13 @@
 
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from test_grid import run_grid_chain
+from test_grid import DenseField, dense_intensity, run_grid_chain
 from test_pointer import run_chain
 
 from seqweak import experiments, grid
@@ -78,6 +79,10 @@ def test_sweep_spec_validation():
         SweepSpec(scenario=scenario, engines=frozenset({Engine.GRID}))
     with pytest.raises(ValueError, match="select at least one engine"):
         SweepSpec(scenario=scenario, engines=frozenset())
+    # Engine values are not engines: run_sweep would give records without deflections.
+    for bad in ({"analytic"}, {"grid"}, {Engine.ANALYTIC, "grid"}):
+        with pytest.raises(ValueError, match="engines must be Engine members"):
+            SweepSpec(scenario=scenario, engines=frozenset(bad), grid=GRID)
     with pytest.raises(ValueError):
         Scenario(kind=ScenarioKind.SEQUENTIAL, sigma_mm=0.0)
     assert SweepSpec(scenario=scenario, steps=MAX_SWEEP_STEPS).steps == MAX_SWEEP_STEPS
@@ -240,13 +245,13 @@ def test_train_equals_hand_written_chain(kind, prep_deg, mid_deg, sigma, delta):
     assert analytic_deflections(scenario, delta) == want
 
     fields = [run_grid_chain(GRID, scenario.sigma_mm, delta, *elements) for elements in photons]
-    want = joint_reading([discrete_means(intensity(field)) for field in fields])
+    want = joint_reading([discrete_means(dense_intensity(field)) for field in fields])
     got = grid_deflections(scenario, delta, GRID)
     assert got.x_mm == pytest.approx(want.x_mm, rel=0.0, abs=DENSE_AGREEMENT)
     assert got.y_mm == pytest.approx(want.y_mm, rel=0.0, abs=DENSE_AGREEMENT)
     assert got.xy_mm2 == pytest.approx(want.xy_mm2, rel=0.0, abs=DENSE_AGREEMENT)
     if kind is not ScenarioKind.TWO_QUBIT:
-        image, dense = scenario_intensity_image(scenario, delta, GRID), intensity(fields[0])
+        image, dense = scenario_intensity_image(scenario, delta, GRID), dense_intensity(fields[0])
         assert np.abs(image.values - dense.values).max() <= IMAGE_AGREEMENT * dense.values.max()
         assert render_pgm(image) == render_pgm(dense)
 
@@ -446,9 +451,9 @@ def test_image_forms_its_planes_once_at_the_readout(kind, monkeypatch):
     formed = []
     plane = grid.FactoredField._plane
 
-    def counting(field, p):
-        formed.append((p, len(field.pol)))
-        return plane(field, p)
+    def counting(field, p, band=slice(None), out=None):
+        formed.append((p, len(field.pol), band))
+        return plane(field, p, band, out)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the image runs the factored train")
@@ -458,8 +463,52 @@ def test_image_forms_its_planes_once_at_the_readout(kind, monkeypatch):
         monkeypatch.setattr(grid, dense, refuse)
     image = scenario_intensity_image(Scenario(kind=kind), 0.3, GRID)
     factors = 4 if kind is ScenarioKind.SEQUENTIAL else 2
-    assert formed == [(0, factors), (1, factors)]
+    assert {count for _, count, _ in formed} == {factors}
+    rows = np.arange(GRID.ny)
+    for p in (0, 1):
+        covered = np.concatenate([rows[band] for q, _, band in formed if q == p])
+        assert np.array_equal(np.sort(covered), rows)  # every row exactly once
+    assert len(formed) > 2  # in bands, not whole planes
     assert image.values.shape == (GRID.ny, GRID.nx)
+
+
+@pytest.mark.parametrize("kind", [ScenarioKind.SEQUENTIAL, ScenarioKind.SINGLE])
+@pytest.mark.parametrize("nx, ny", [(256, 256), (128, 256), (256, 64)])
+@pytest.mark.parametrize("band_rows", [None, 1, 7], ids=["default", "1-row", "7-row"])
+def test_banded_intensity_is_the_dense_readout_bit_for_bit(kind, nx, ny, band_rows, monkeypatch):
+    # Square and non-square grids, bands of one row and of 7 rows (which
+    # divide no side): the banded readout must give the bits of the whole
+    # planes' |H|^2 + |V|^2, at seeded plate angles and couplings.
+    if band_rows is not None:
+        monkeypatch.setattr(grid, "BAND_BYTES", band_rows * 16 * nx)
+    rng = np.random.default_rng([nx, ny, band_rows or 0, kind is ScenarioKind.SEQUENTIAL])
+    prep_deg, mid_deg = rng.uniform(-90.0, 90.0, size=2)
+    scenario = Scenario(kind=kind, prep_angle_deg=prep_deg, mid_angle_deg=mid_deg)
+    spec = GridSpec(nx, ny, 13.5)
+    read = []
+    monkeypatch.setattr(experiments, "intensity", lambda field: read.append(field) or intensity(field))
+    image = scenario_intensity_image(scenario, rng.uniform(0.05, 0.2), spec)
+    (field,) = read
+    want = dense_intensity(DenseField(spec, field.h_plane, field.v_plane))
+    assert np.array_equal(image.values.view(np.uint64), want.values.view(np.uint64))
+
+
+def test_image_holds_one_full_size_array(monkeypatch):
+    # Bound stated before measuring: the 8 MiB values array, the two band
+    # buffers (256 KiB complex, 128 KiB float) and the train's factors and
+    # their 1-D FFT temporaries (a few 16 KiB profiles), under 9 MiB in all.
+    # Whole H and V planes would take 16 MiB each.
+    fine = GridSpec(1024, 1024, 13.5)
+    scenario = Scenario(kind=ScenarioKind.SEQUENTIAL)
+    scenario_intensity_image(scenario, 0.3, fine)  # warm-up: first-call caches are not the image's
+    tracemalloc.start()
+    try:
+        image = scenario_intensity_image(scenario, 0.3, fine)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert image.values.nbytes == 8 * 2**20
+    assert peak < 9 * 2**20
 
 
 def test_preparation_failure_carries_first_delta():

@@ -13,6 +13,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from seqweak import grid as grid_module
 from seqweak.errors import (
     AliasingRisk,
     EmptyImage,
@@ -84,6 +85,12 @@ class DenseField(NamedTuple):
     grid: GridSpec
     h_plane: np.ndarray
     v_plane: np.ndarray
+
+
+def dense_intensity(field):
+    """The dense engine's readout: |H|^2 + |V|^2 of the whole planes at once."""
+    values = np.abs(field.h_plane) ** 2 + np.abs(field.v_plane) ** 2
+    return IntensityImage(grid=field.grid, values=values)
 
 
 def dense_gaussian(grid, sigma, pol):
@@ -277,6 +284,15 @@ def test_intensity_image_checks_its_shape_and_sign():
         IntensityImage(grid=GRID, values=values)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_intensity_image_refuses_non_finite_pixels(bad):
+    # min() < 0 is false for NaN, and inf is nonnegative: both need their own test.
+    values = np.ones((GRID.ny, GRID.nx))
+    values[7, 11] = bad
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        IntensityImage(grid=GRID, values=values)
+
+
 def test_slm_mask_equals_conditional_shift():
     # One lens into the grating plane plus three more to finish the relay
     # upright equals the direct conditional shift with delta = k * alpha.
@@ -465,9 +481,30 @@ def test_render_pgm_all_dark_image():
     assert parsed.max() == 0
 
 
+@pytest.mark.parametrize("band_bytes", [None, 1, 3 * 16 * 128], ids=["default", "1-row", "3-row"])
+def test_render_pgm_is_the_whole_image_scaled_at_once(band_bytes, monkeypatch):
+    # Bands of 1 row and of 3 rows (which do not divide 64) on a non-square
+    # grid: the banded scaling must give the bytes of the one-shot expression.
+    if band_bytes is not None:
+        monkeypatch.setattr(grid_module, "BAND_BYTES", band_bytes)
+    grid = GridSpec(nx=128, ny=64, pixel_um=13.5)
+    rng = np.random.default_rng(11)
+    header = b"P5\n128 64\n65535\n"
+    for values in (rng.random((64, 128)) ** 3, np.zeros((64, 128))):
+        image = IntensityImage(grid=grid, values=values)
+        peak = values.max()
+        if peak > 0.0:
+            want = np.rint(values * (65535.0 / peak)).astype(">u2")
+        else:
+            want = np.zeros(values.shape, ">u2")
+        assert render_pgm(image) == header + want.tobytes()
+
+
 def test_render_raw_round_trip():
     image = intensity(factored_gaussian(GRID, SIGMA, HORIZONTAL))
-    blob = render_raw(image)
+    header, payload = render_raw(image)
+    assert np.shares_memory(payload, image.values)  # written as it is, not copied
+    blob = header + bytes(payload)
     assert blob[:8] == b"WMGRID01"
     nx, ny, pixel_um = struct.unpack("<IId", blob[8:24])
     assert (nx, ny) == (GRID.nx, GRID.ny)
@@ -506,7 +543,7 @@ def test_factored_engine_matches_dense_planes(seed):
             factored = apply_factored_unitary(factored, element)
     assert np.abs(factored.h_plane - dense.h_plane).max() <= 1e-14
     assert np.abs(factored.v_plane - dense.v_plane).max() <= 1e-14
-    got, want = factored_means(factored), discrete_means(intensity(dense))
+    got, want = factored_means(factored), discrete_means(dense_intensity(dense))
     for a, b in zip((got.x_mm, got.y_mm, got.xy_mm2), (want.x_mm, want.y_mm, want.xy_mm2)):
         assert a == pytest.approx(b, abs=1e-15)
 
