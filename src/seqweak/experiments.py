@@ -39,12 +39,12 @@ from .pointer import (
     apply_polarization,
     initial_pointer_state,
     moments,
+    stationary_t,
 )
 from .qubit import HORIZONTAL, Observable, waveplate_hwp
 
 DEFAULT_SIGMA_MM = 0.1116
 MAX_SWEEP_STEPS = 100_000
-EXTREMUM_TOL_MM = 1e-9
 # Bytes of a grid sweep block's largest transient array: the 4 factors of a
 # train after both couplings, times the grid's longer side in complex128, per
 # coupling.  Blocks of 4 couplings at 256^2, 2 at 512^2, 1 from 1024^2 up.
@@ -263,50 +263,34 @@ def find_zero_crossing(records: list[SweepRecord], sigma_mm: float) -> float:
     """
     series = _analytic_joint_series(records)
     for (d_lo, y_lo), (d_hi, y_hi) in zip(series, series[1:]):
-        if y_lo * y_hi < 0.0:
+        if min(y_lo, y_hi) < 0.0 < max(y_lo, y_hi):
             r_lo, r_hi = abs(y_lo / d_lo**2), abs(y_hi / d_hi**2)
             o_star = (r_hi * _overlap(d_lo, sigma_mm) + r_lo * _overlap(d_hi, sigma_mm)) / (r_lo + r_hi)
             return sigma_mm * math.sqrt(-8.0 * math.log(o_star))
     raise NoSignChange("joint mean keeps one sign over the sweep")
 
 
-def golden_section_minimize(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section minimum of a unimodal function, absolute bracket tolerance."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = f(d)
-    return 0.5 * (lo + hi)
-
-
 def find_extremum(records: list[SweepRecord], sigma_mm: float) -> tuple[float, float]:
-    """Interior minimum of the joint mean, golden-section refined on the line
-    <x y>/delta^2 = A + B O through the dip record and its right neighbour, or
-    the left one if those share an overlap (both 0 or both 1); flat if all do."""
+    """Interior minimum of the joint mean on the line <x y>/delta^2 = A + B O
+    through the dip record and its right neighbour, or the left one if those
+    share an overlap (both 0 or both 1).  With t = delta^2 / 8 sigma^2 the
+    line's joint mean is 8 sigma^2 t (A + B e^-t), least between the dip's
+    neighbours at pointer.stationary_t(A, B, ...).  If all three share an
+    overlap the line is flat, and the dip record is the minimum."""
     series = _analytic_joint_series(records)
     for i in range(1, len(series) - 1):
         if series[i][1] < series[i - 1][1] and series[i][1] < series[i + 1][1]:
             (d_p, y_p), o_p = series[i], _overlap(series[i][0], sigma_mm)
-            r_p, slope = y_p / d_p**2, 0.0
+            r_p = y_p / d_p**2
             for d_q, y_q in (series[i + 1], series[i - 1]):
                 if _overlap(d_q, sigma_mm) != o_p:
                     slope = (y_q / d_q**2 - r_p) / (_overlap(d_q, sigma_mm) - o_p)
                     break
-
-            def joint(d):
-                return d**2 * (r_p + slope * (_overlap(d, sigma_mm) - o_p))
-
-            delta = golden_section_minimize(joint, series[i - 1][0], series[i + 1][0], EXTREMUM_TOL_MM)
-            return delta, joint(delta)
+            else:
+                return series[i]
+            lo, hi = (d**2 / (8.0 * sigma_mm**2) for d in (series[i - 1][0], series[i + 1][0]))
+            delta = sigma_mm * math.sqrt(8.0 * stationary_t(r_p - slope * o_p, slope, lo, hi))
+            return delta, delta**2 * (r_p + slope * (_overlap(delta, sigma_mm) - o_p))
     raise NoInteriorExtremum("joint mean has no interior dip over the sweep")
 
 

@@ -229,18 +229,34 @@ def anomaly_threshold(sigma: float) -> float:
     shift the beam in the positive direction.
     """
     _check_closed_form(sigma=sigma)
-    return _finite_length(sigma * float(np.sqrt(8.0 * np.log(3.0))), "anomaly threshold", sigma)
+    return _finite_length(sigma * math.sqrt(8.0 * math.log(3.0)), "anomaly threshold", sigma)
+
+
+def stationary_t(a: float, b: float, lo: float, hi: float) -> float:
+    """Where t (a + b e^-t) is least in [lo, hi], an end if its slope
+    a + b (1 - t) e^-t keeps one sign there.  Newton steps on the slope, of
+    curvature b (t - 2) e^-t, from the midpoint; the slope's sign shrinks the
+    bracket, bisected where a step would leave it or the curvature is 0."""
+    t = 0.5 * (lo + hi)
+    for _ in range(100):
+        damp = math.exp(-t)
+        slope = a + b * (1.0 - t) * damp
+        lo, hi = (t, hi) if slope < 0.0 else (lo, t)
+        curvature = b * (t - 2.0) * damp
+        step = t - slope / curvature if curvature else math.nan
+        if step == t:
+            break
+        t = step if lo < step < hi else 0.5 * (lo + hi)
+    return t
 
 
 def max_reversal_delta(sigma: float) -> float:
     """Coupling strength minimizing the sequential joint mean.
 
     With t = delta^2 / (8 sigma^2) the joint mean is sigma^2 t (1 - 3 e^-t) / 2,
-    stationary where 3 (1 - t) e^-t = 1: Newton's method from t = 0.5
-    converges in five steps to t* ~ 0.4678, and delta = sigma sqrt(8 t*).
+    least in [0, 1] at stationary_t(1, -3, 0, 1), where 3 (1 - t) e^-t = 1:
+    t* ~ 0.4678, and delta = sigma sqrt(8 t*).
     """
     _check_closed_form(sigma=sigma)
-    t = 0.5
-    for _ in range(5):
-        t -= (3.0 * (1.0 - t) * math.exp(-t) - 1.0) / (3.0 * (t - 2.0) * math.exp(-t))
+    t = stationary_t(1.0, -3.0, 0.0, 1.0)
     return _finite_length(sigma * math.sqrt(8.0 * t), "deepest reversal", sigma)

@@ -62,7 +62,7 @@ def test_anomaly_region_boundary():
 
 
 def test_extremum_against_stationarity_root():
-    # golden-section minimizer within 1e-4 of the root of 3 e^{-t}(1-t) = 1,
+    # find_extremum's minimizer within 1e-4 of the root of 3 e^{-t}(1-t) = 1,
     # t = 0.468 +- 1e-3; 0.189 mm reference honored to 15%
     result = report(check_extremum_consistency())
     assert result.passed, result.detail

@@ -553,6 +553,15 @@ def test_find_zero_crossing_matches_threshold():
     assert crossing == pytest.approx(anomaly_threshold(DEFAULT_SIGMA_MM), abs=1e-8)
 
 
+@pytest.mark.parametrize("sigma", [1e-100, 1e-140])
+def test_find_zero_crossing_where_the_joint_mean_is_below_the_square_of_a_double(sigma):
+    # Every <x y> of these sweeps is below 1e-162 mm^2, where the product of
+    # two of them underflows to 0; the sign change must still be seen.
+    scenario = Scenario(ScenarioKind.SEQUENTIAL, sigma)
+    records = run_sweep(SweepSpec(scenario, 0.0, 5.0 * sigma, 31))
+    assert abs(find_zero_crossing(records, sigma) - anomaly_threshold(sigma)) <= 1e-9 * sigma
+
+
 def test_find_zero_crossing_requires_sign_change():
     records = run_sweep(sequential_spec(delta_stop_mm=0.2, steps=5))
     with pytest.raises(NoSignChange):
@@ -567,6 +576,16 @@ def test_find_extremum_matches_stationarity():
     assert delta == pytest.approx(DEFAULT_SIGMA_MM * np.sqrt(8.0 * t_root), abs=1e-7)
     assert joint == pytest.approx(closed_form_sequential(delta, DEFAULT_SIGMA_MM).xy_mm2, abs=1e-12)
     assert joint < 0.0
+
+
+@pytest.mark.parametrize("sigma", [1e-10, 1e-8, 1e-6, 1e6, 1e7, 1e150])
+def test_find_extremum_is_the_same_at_every_scale(sigma):
+    # The stationarity condition has no length scale, so neither has the
+    # extremum: in units of sigma it is the same root at every width.
+    scenario = Scenario(ScenarioKind.SEQUENTIAL, sigma)
+    records = run_sweep(SweepSpec(scenario, 0.0, 5.0 * sigma, 31))
+    delta, _ = find_extremum(records, sigma)
+    assert abs(delta - max_reversal_delta(sigma)) <= 1e-12 * sigma
 
 
 def test_find_extremum_requires_interior_dip():
@@ -654,6 +673,25 @@ def test_features_at_off_default_angles(prep, mid, crossing, extremum):
     records = run_sweep(SweepSpec(scenario))
     assert f"{find_zero_crossing(records, DEFAULT_SIGMA_MM):.6g}" == crossing
     assert tuple(f"{v:.6g}" for v in find_extremum(records, DEFAULT_SIGMA_MM)) == extremum
+
+
+@pytest.mark.parametrize("sigma", [DEFAULT_SIGMA_MM, 1.0])
+def test_extremum_of_a_positive_dip_past_t_2(sigma):
+    # At (30, 40) deg the line's B is positive and 0 < A < B e^-2: the joint
+    # mean stays positive and dips at t = delta^2 / 8 sigma^2 ~ 2.95523, the
+    # far root of its slope, not the one below t = 1.
+    scenario = Scenario(ScenarioKind.SEQUENTIAL, sigma, 30.0, 40.0)
+    records = run_sweep(SweepSpec(scenario, 0.0, 8.0 * sigma, 31))
+
+    def joint(d):
+        return analytic_deflections(scenario, d).xy_mm2
+
+    want = calculus_minimum(joint, [r.delta_mm for r in records])
+    delta, value = find_extremum(records, sigma)
+    assert abs(delta - want[0]) <= 1e-6
+    assert abs(value - want[1]) <= 1e-10
+    assert delta / sigma == pytest.approx(4.86229, abs=1e-5)
+    assert value / sigma**2 == pytest.approx(0.269374, abs=1e-6)
 
 
 def test_extremum_whose_dip_neighbours_sit_in_the_underflowed_tail():

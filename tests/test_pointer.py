@@ -39,6 +39,7 @@ from seqweak.pointer import (
     initial_pointer_state,
     max_reversal_delta,
     moments,
+    stationary_t,
 )
 from seqweak.qubit import HORIZONTAL, waveplate_hwp
 
@@ -423,6 +424,23 @@ def test_max_reversal_matches_stationarity_root():
             -0.20562999526589 * sigma**2, abs=1e-9 * sigma**2
         )
     assert round(max_reversal_delta(1.0), 3) == 1.935
+
+
+def test_stationary_t_on_both_branches_and_at_the_bracket_ends():
+    # t (a + b e^-t) is least where its slope a + b (1 - t) e^-t rises
+    # through 0: below t = 1 for b < 0 < a, past t = 2 for 0 < a < b e^-2.
+    def root(a, b, lo, hi):
+        return brentq(lambda t: a + b * (1.0 - t) * math.exp(-t), lo, hi, xtol=1e-15)
+
+    assert stationary_t(1.0, -3.0, 0.0, 1.0) == pytest.approx(root(1.0, -3.0, 0.0, 1.0), abs=1e-12)
+    assert stationary_t(0.05, 1.0, 2.0, 10.0) == pytest.approx(root(0.05, 1.0, 2.0, 10.0), abs=1e-12)
+    assert stationary_t(0.05, 1.0, 3.5, 4.5) == pytest.approx(root(0.05, 1.0, 2.0, 10.0), abs=1e-12)
+    # A slope of one sign, flat (b = 0) or with e^-t underflowed, ends at the
+    # end where t (a + b e^-t) is less.
+    assert stationary_t(1.0, 0.0, 0.3, 0.7) == pytest.approx(0.3, abs=1e-15)
+    assert stationary_t(-1.0, 0.0, 0.3, 0.7) == pytest.approx(0.7, abs=1e-15)
+    assert stationary_t(-1.0, 1.0, 800.0, 900.0) == pytest.approx(900.0, abs=1e-12)
+    assert stationary_t(1.0, -3.0, 0.6, 1.0) == pytest.approx(0.6, abs=1e-15)
 
 
 @pytest.mark.parametrize("length", [anomaly_threshold, max_reversal_delta])

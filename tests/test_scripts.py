@@ -26,6 +26,7 @@ def test_reproduction_scripts_run(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "crosses zero at delta = 0.330850 mm" in proc.stdout
+    assert "deepest reversal -0.002561 mm^2 at delta = 0.215899 mm" in proc.stdout
     assert sorted(p.name for p in curves.iterdir()) == sorted(
         f"deflections_{kind}.csv{suffix}"
         for kind in ("sequential", "two-qubit", "single")
