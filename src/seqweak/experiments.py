@@ -273,15 +273,13 @@ def find_zero_crossing(records: list[SweepRecord], sigma_mm: float) -> float:
 def find_extremum(records: list[SweepRecord], sigma_mm: float) -> tuple[float, float]:
     """Interior minimum of the joint mean on the line <x y>/delta^2 = A + B O
     through the dip record and its right neighbour, or the left one if those
-    share an overlap (both 0 or both 1).  With t = delta^2 / 8 sigma^2 the
-    line's joint mean is 8 sigma^2 t (A + B e^-t), least between the dip's
-    neighbours at pointer.stationary_t(A, B, ...).  If all three share an
-    overlap the line is flat, and the dip record is the minimum."""
+    share an overlap: 8 sigma^2 t (A + B e^-t), t = delta^2 / 8 sigma^2, least
+    at stationary_t(A, B, ...) between the dip's neighbours; if all three share
+    an overlap (all 0 or all 1) the line is flat and the dip record is least."""
     series = _analytic_joint_series(records)
     for i in range(1, len(series) - 1):
         if series[i][1] < series[i - 1][1] and series[i][1] < series[i + 1][1]:
-            (d_p, y_p), o_p = series[i], _overlap(series[i][0], sigma_mm)
-            r_p = y_p / d_p**2
+            o_p, r_p = _overlap(series[i][0], sigma_mm), series[i][1] / series[i][0] ** 2
             for d_q, y_q in (series[i + 1], series[i - 1]):
                 if _overlap(d_q, sigma_mm) != o_p:
                     slope = (y_q / d_q**2 - r_p) / (_overlap(d_q, sigma_mm) - o_p)

@@ -233,10 +233,12 @@ def anomaly_threshold(sigma: float) -> float:
 
 
 def stationary_t(a: float, b: float, lo: float, hi: float) -> float:
-    """Where t (a + b e^-t) is least in [lo, hi], an end if its slope
-    a + b (1 - t) e^-t keeps one sign there.  Newton steps on the slope, of
-    curvature b (t - 2) e^-t, from the midpoint; the slope's sign shrinks the
-    bracket, bisected where a step would leave it or the curvature is 0."""
+    """Where t (a + b e^-t) is least in [lo, hi]: the end on the side of t = 2
+    where its curvature b (t - 2) e^-t is negative, or the least point on the
+    other side, where its slope a + b (1 - t) e^-t rises, found by Newton steps
+    bisected where one would leave the bracket or the curvature is 0."""
+    two = min(max(2.0, lo), hi)
+    far, (lo, hi) = (lo, (two, hi)) if b > 0.0 else (hi, (lo, two))
     t = 0.5 * (lo + hi)
     for _ in range(100):
         damp = math.exp(-t)
@@ -247,7 +249,7 @@ def stationary_t(a: float, b: float, lo: float, hi: float) -> float:
         if step == t:
             break
         t = step if lo < step < hi else 0.5 * (lo + hi)
-    return t
+    return min(t, far, key=lambda s: s * (a + b * math.exp(-s)))
 
 
 def max_reversal_delta(sigma: float) -> float:

@@ -547,18 +547,13 @@ def test_weak_limit_ratio():
         weak_limit_ratio(records[:3])
 
 
-def test_find_zero_crossing_matches_threshold():
-    records = run_sweep(sequential_spec(steps=31))
-    crossing = find_zero_crossing(records, DEFAULT_SIGMA_MM)
-    assert crossing == pytest.approx(anomaly_threshold(DEFAULT_SIGMA_MM), abs=1e-8)
-
-
-@pytest.mark.parametrize("sigma", [1e-100, 1e-140])
-def test_find_zero_crossing_where_the_joint_mean_is_below_the_square_of_a_double(sigma):
-    # Every <x y> of these sweeps is below 1e-162 mm^2, where the product of
-    # two of them underflows to 0; the sign change must still be seen.
+@pytest.mark.parametrize("sigma", [DEFAULT_SIGMA_MM, 1e-100, 1e-140])
+def test_find_zero_crossing_matches_threshold(sigma):
+    # The default sweep scaled with the width.  At 1e-100 and 1e-140 mm every
+    # <x y> is below 1e-162 mm^2, where the product of two of them underflows
+    # to 0; the sign change must still be seen.
     scenario = Scenario(ScenarioKind.SEQUENTIAL, sigma)
-    records = run_sweep(SweepSpec(scenario, 0.0, 5.0 * sigma, 31))
+    records = run_sweep(sequential_spec(scenario=scenario, delta_stop_mm=0.711 * sigma / DEFAULT_SIGMA_MM, steps=31))
     assert abs(find_zero_crossing(records, sigma) - anomaly_threshold(sigma)) <= 1e-9 * sigma
 
 
@@ -568,24 +563,19 @@ def test_find_zero_crossing_requires_sign_change():
         find_zero_crossing(records, DEFAULT_SIGMA_MM)
 
 
-def test_find_extremum_matches_stationarity():
-    records = run_sweep(sequential_spec(steps=31))
-    delta, joint = find_extremum(records, DEFAULT_SIGMA_MM)
-    assert delta == pytest.approx(max_reversal_delta(DEFAULT_SIGMA_MM), abs=1e-7)
-    t_root = brentq(lambda t: 3.0 * np.exp(-t) * (1.0 - t) - 1.0, 0.1, 0.9, xtol=1e-14)
-    assert delta == pytest.approx(DEFAULT_SIGMA_MM * np.sqrt(8.0 * t_root), abs=1e-7)
-    assert joint == pytest.approx(closed_form_sequential(delta, DEFAULT_SIGMA_MM).xy_mm2, abs=1e-12)
-    assert joint < 0.0
-
-
-@pytest.mark.parametrize("sigma", [1e-10, 1e-8, 1e-6, 1e6, 1e7, 1e150])
-def test_find_extremum_is_the_same_at_every_scale(sigma):
-    # The stationarity condition has no length scale, so neither has the
-    # extremum: in units of sigma it is the same root at every width.
+@pytest.mark.parametrize("sigma", [DEFAULT_SIGMA_MM, 1e-10, 1e-8, 1e-6, 1e6, 1e7, 1e150])
+def test_find_extremum_matches_stationarity(sigma):
+    # The default sweep scaled with the width.  The stationarity condition has
+    # no length scale, so in units of sigma the extremum is the same root at
+    # every width.
     scenario = Scenario(ScenarioKind.SEQUENTIAL, sigma)
-    records = run_sweep(SweepSpec(scenario, 0.0, 5.0 * sigma, 31))
-    delta, _ = find_extremum(records, sigma)
+    records = run_sweep(sequential_spec(scenario=scenario, delta_stop_mm=0.711 * sigma / DEFAULT_SIGMA_MM, steps=31))
+    delta, joint = find_extremum(records, sigma)
     assert abs(delta - max_reversal_delta(sigma)) <= 1e-12 * sigma
+    t_root = brentq(lambda t: 3.0 * np.exp(-t) * (1.0 - t) - 1.0, 0.1, 0.9, xtol=1e-14)
+    assert abs(delta - sigma * np.sqrt(8.0 * t_root)) <= 1e-12 * sigma
+    assert abs(joint - closed_form_sequential(delta, sigma).xy_mm2) <= 1e-12 * sigma**2
+    assert joint < 0.0
 
 
 def test_find_extremum_requires_interior_dip():
@@ -676,12 +666,18 @@ def test_features_at_off_default_angles(prep, mid, crossing, extremum):
 
 
 @pytest.mark.parametrize("sigma", [DEFAULT_SIGMA_MM, 1.0])
-def test_extremum_of_a_positive_dip_past_t_2(sigma):
-    # At (30, 40) deg the line's B is positive and 0 < A < B e^-2: the joint
-    # mean stays positive and dips at t = delta^2 / 8 sigma^2 ~ 2.95523, the
-    # far root of its slope, not the one below t = 1.
-    scenario = Scenario(ScenarioKind.SEQUENTIAL, sigma, 30.0, 40.0)
-    records = run_sweep(SweepSpec(scenario, 0.0, 8.0 * sigma, 31))
+@pytest.mark.parametrize(
+    "mid, stop, steps, delta_dip, value_dip",
+    [(40.0, 8.0, 31, 4.86229, 0.269374), (41.05, 8.875, 4, 5.21506, 0.181971)],
+)
+def test_extremum_of_a_positive_dip_past_t_2(sigma, mid, stop, steps, delta_dip, value_dip):
+    # At prep = 30 deg and these mid angles the line's B is positive and
+    # 0 < A < B e^-2: the joint mean stays positive and dips at
+    # t = delta^2 / 8 sigma^2 ~ 2.955 and 3.400, the far root of its slope.
+    # The 4-step sweep's dip bracket, t from 1.09 to 9.85, also holds the
+    # slope's near root, a local maximum of the joint mean below t = 2.
+    scenario = Scenario(ScenarioKind.SEQUENTIAL, sigma, 30.0, mid)
+    records = run_sweep(SweepSpec(scenario, 0.0, stop * sigma, steps))
 
     def joint(d):
         return analytic_deflections(scenario, d).xy_mm2
@@ -690,8 +686,8 @@ def test_extremum_of_a_positive_dip_past_t_2(sigma):
     delta, value = find_extremum(records, sigma)
     assert abs(delta - want[0]) <= 1e-6
     assert abs(value - want[1]) <= 1e-10
-    assert delta / sigma == pytest.approx(4.86229, abs=1e-5)
-    assert value / sigma**2 == pytest.approx(0.269374, abs=1e-6)
+    assert delta / sigma == pytest.approx(delta_dip, abs=1e-5)
+    assert value / sigma**2 == pytest.approx(value_dip, abs=1e-6)
 
 
 def test_extremum_whose_dip_neighbours_sit_in_the_underflowed_tail():

@@ -435,6 +435,12 @@ def test_stationary_t_on_both_branches_and_at_the_bracket_ends():
     assert stationary_t(1.0, -3.0, 0.0, 1.0) == pytest.approx(root(1.0, -3.0, 0.0, 1.0), abs=1e-12)
     assert stationary_t(0.05, 1.0, 2.0, 10.0) == pytest.approx(root(0.05, 1.0, 2.0, 10.0), abs=1e-12)
     assert stationary_t(0.05, 1.0, 3.5, 4.5) == pytest.approx(root(0.05, 1.0, 2.0, 10.0), abs=1e-12)
+    # Brackets that also hold the slope's other root, across t = 2 where
+    # t (a + b e^-t) is concave: a local maximum near t = 1.29 for b > 0, a
+    # local maximum past t = 2 for b < 0 < -a, beyond which it falls to hi.
+    assert stationary_t(0.08, 1.0, 1.094, 9.846) == pytest.approx(root(0.08, 1.0, 2.0, 10.0), abs=1e-12)
+    assert stationary_t(-0.05, -1.0, 0.5, 6.0) == pytest.approx(root(-0.05, -1.0, 0.5, 2.0), abs=1e-12)
+    assert stationary_t(-0.05, -1.0, 0.5, 20.0) == 20.0
     # A slope of one sign, flat (b = 0) or with e^-t underflowed, ends at the
     # end where t (a + b e^-t) is less.
     assert stationary_t(1.0, 0.0, 0.3, 0.7) == pytest.approx(0.3, abs=1e-15)
