@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,8 +48,9 @@ DEFAULT_SIGMA_MM = 0.1116
 MAX_SWEEP_STEPS = 100_000
 # Bytes of a grid sweep block's largest transient array: the 4 factors of a
 # train after both couplings, times the grid's longer side in complex128, per
-# coupling.  Blocks of 4 couplings at 256^2, 2 at 512^2, 1 from 1024^2 up.
-SWEEP_BLOCK_BYTES = 64 * 1024
+# coupling.  Blocks of 8 couplings at 256^2, 4 at 512^2, 2 at 1024^2 and 1
+# from 2048^2 up: a 31-step sweep at 256^2 runs its train 1 + 4 times.
+SWEEP_BLOCK_BYTES = 128 * 1024
 
 CSV_HEADER = (
     "delta_mm,x_analytic_mm,y_analytic_mm,xy_analytic_mm2,"
@@ -185,6 +187,14 @@ def scenario_intensity_image(scenario: Scenario, delta_mm: float, grid: GridSpec
     if scenario.kind is ScenarioKind.TWO_QUBIT:
         raise ValueError("the two-beam scenario has no single detector image")
     beam = _grid(scenario, grid)
+    # The image's f64 values and its 16-bit PGM, refused before any is formed.
+    needed = 10 * grid.nx * grid.ny
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > physical:
+        raise MemoryError(
+            f"a {grid.nx}x{grid.ny} image needs {needed} bytes, "
+            f"more than the {physical} bytes of physical memory"
+        )
     return _run_train(
         scenario, delta_mm, beam, apply_factored_unitary, apply_factored_shift, intensity
     )

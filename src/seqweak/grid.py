@@ -23,11 +23,14 @@ A full ny x nx plane is formed only when something reads h_plane or
 v_plane.  The detector image forms its planes in bands of rows that stay
 in cache (BAND_BYTES), straight into the one full-size intensity array;
 each pixel takes the same operations as on whole planes, so the same bits.
+Each grid's pixel coordinates and shift wavenumbers are built once, in small
+caches keyed by the frozen GridSpec, and shared read-only.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import numbers
 import struct
 import sys
@@ -151,12 +154,23 @@ def _check_sides(grid: GridSpec) -> None:
         )
 
 
-def position_coords(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Pixel-center coordinates in mm: x per column, y per row (row 0 on top)."""
-    _check_sides(grid)
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@functools.lru_cache(maxsize=8)
+def _coords(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     x = (np.arange(grid.nx) - grid.nx // 2) * grid.pixel_mm
     y = (grid.ny // 2 - np.arange(grid.ny)) * grid.pixel_mm
-    return x, y
+    return _read_only(x), _read_only(y)
+
+
+def position_coords(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel-center coordinates in mm: x per column, y per row (row 0 on top).
+    Built once per grid and shared, so read-only."""
+    _check_sides(grid)
+    return _coords(grid)
 
 
 def _check_beam(grid: GridSpec, sigma_mm: float) -> None:
@@ -204,13 +218,19 @@ def fourier_lens(field: FactoredField) -> FactoredField:
     )
 
 
-def _phase(grid: GridSpec, delta_mm, axis: Axis) -> np.ndarray:
-    """exp(i delta eta) along the axis, one row per coupling of a block, eta in
-    natural (unshifted) frequency order: integer wavenumbers times the momentum
-    step, negated for y, whose rows run downwards."""
+@functools.lru_cache(maxsize=8)
+def _wavenumbers(grid: GridSpec, axis: Axis) -> np.ndarray:
+    """eta along the axis in natural (unshifted) frequency order: integer
+    wavenumbers times the momentum step, negated for y, whose rows run
+    downwards.  Built once per grid and axis and shared, so read-only."""
     side = grid.nx if axis is Axis.X else grid.ny
     eta = np.fft.fftfreq(side, 1.0 / side) * (2.0 * np.pi / (side * grid.pixel_mm))
-    return np.exp(1j * np.multiply.outer(delta_mm, eta if axis is Axis.X else -eta))
+    return _read_only(eta if axis is Axis.X else -eta)
+
+
+def _phase(grid: GridSpec, delta_mm, axis: Axis) -> np.ndarray:
+    """exp(i delta eta) along the axis, one row per coupling of a block."""
+    return np.exp(1j * np.multiply.outer(delta_mm, _wavenumbers(grid, axis)))
 
 
 def _act_on_h(field: FactoredField, axis: Axis, act) -> FactoredField:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,11 +137,11 @@ def _pairwise_sums(state: GaussianSuperposition):
     exponents = []
     try:
         width = 8.0 * sigma**2
+        if width < sys.float_info.min:  # subnormal or 0: a few bits, or none
+            raise OutOfFloatRange(f"kernel width 8 sigma^2 underflows at sigma = {sigma:g} mm")
         for (_, ax, ay, _), (_, bx, by, _) in pairs:
             exponents.append(-((ax - bx) ** 2) / width)
             exponents.append(-((ay - by) ** 2) / width)
-    except ZeroDivisionError as exc:
-        raise OutOfFloatRange(f"kernel width 8 sigma^2 underflows at sigma = {sigma:g} mm") from exc
     except OverflowError as exc:
         raise OutOfFloatRange(f"a squared shift or width overflows at sigma = {sigma:g} mm") from exc
     damps = np.exp(exponents).tolist()

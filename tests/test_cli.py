@@ -324,11 +324,11 @@ def test_sweep_steps_over_cap_exit_2_before_allocating(tmp_path, capsys, monkeyp
 
 
 def test_a_long_grid_sweep_keeps_its_blocks_small(tmp_path):
-    # Bound stated before measuring: a block's transient arrays take at most
-    # SWEEP_BLOCK_BYTES (64 KiB) each, a dozen of them well under 1 MiB, and
-    # 401 records with their CSV about 0.5 MiB, so the peak stays below
-    # 2 MiB.  One block of all 400 nonzero couplings would need 6.4 MB for
-    # each of its largest arrays.
+    # Bound stated before measuring, for 64 KiB blocks.  A block's transient
+    # arrays take at most SWEEP_BLOCK_BYTES (128 KiB) each, a few of them
+    # alive at once, and 401 records with their CSV about 0.5 MiB, so the
+    # peak stays below 2 MiB (measured 0.97 MB).  One block of all 400
+    # nonzero couplings would need 6.4 MB for each of its largest arrays.
     out = tmp_path / "long.csv"
     argv = ["sweep", "--engine", "both", "--grid-size", "256", "--delta-range", "0:0.8:401",
             "--out", str(out)]
@@ -380,6 +380,8 @@ def test_sweep_preparation_failure_exit_4_names_first_delta(tmp_path, capsys):
     "flags, cause",
     [
         (["--sigma", "1e-200mm"], "at delta = 0 mm: kernel width 8 sigma^2 underflows"),
+        (["--sigma", "1e-160mm", "--delta-range", "0:5e-160:5"],
+         "at delta = 0 mm: kernel width 8 sigma^2 underflows at sigma = 1e-160 mm"),
         (["--sigma", "1e200mm"], "at delta = 0 mm: a squared shift or width overflows"),
         (["--delta-range", "0:1e200:3"], "at delta = 5e+199 mm: a squared shift or width"),
         (["--delta-range", "0:1e160:3"], "at delta = 5e+159 mm: a squared shift or width"),

@@ -381,9 +381,9 @@ def test_a_calculus_failure_at_an_earlier_or_equal_point_wins(failing_index, mon
 
 @pytest.mark.parametrize("steps", [5, 9])
 def test_repeated_zero_couplings_each_run_alone(steps):
-    # linspace(0, 5e-324, steps) repeats 0.0: at 9 steps a whole block of 4
-    # is zeros, at 5 a block mixes them with 5e-324.  Every zero is the
-    # identity shift that grid_deflections runs at 0.0.
+    # linspace(0, 5e-324, steps) repeats 0.0, 3 times at 5 steps and 5 at 9,
+    # so a block of 8 after the first zero would mix zeros with 5e-324.
+    # Every zero is the identity shift that grid_deflections runs at 0.0.
     scenario = Scenario(ScenarioKind.SEQUENTIAL)
     spec = SweepSpec(scenario, 0.0, 5e-324, steps, engines=BOTH, grid=GRID)
     records = run_sweep(spec)
@@ -427,6 +427,21 @@ def test_grid_sweep_prepares_the_beam_once(kind, monkeypatch):
     monkeypatch.setattr(experiments, "factored_gaussian", counting)
     run_sweep(SweepSpec(Scenario(kind=kind), 0.0, 0.5, 6, engines=BOTH, grid=GRID))
     assert len(calls) == 1
+
+
+def test_a_31_step_grid_sweep_runs_its_train_once_per_block(monkeypatch):
+    # At 256^2 a block holds SWEEP_BLOCK_BYTES / (4 factors * 16 B * 256) = 8
+    # couplings: Delta = 0 runs alone, then the 30 nonzero ones in 4 blocks.
+    sizes = []
+    train = experiments._grid_train
+
+    def counting(scenario, delta_mm, beam):
+        sizes.append(np.size(delta_mm))
+        return train(scenario, delta_mm, beam)
+
+    monkeypatch.setattr(experiments, "_grid_train", counting)
+    run_sweep(SweepSpec(Scenario(ScenarioKind.SEQUENTIAL), 0.0, 0.711, 31, engines=BOTH, grid=GRID))
+    assert sizes == [1, 8, 8, 8, 6]
 
 
 def test_grid_sweep_never_forms_a_plane(monkeypatch):
@@ -509,6 +524,25 @@ def test_image_holds_one_full_size_array(monkeypatch):
         tracemalloc.stop()
     assert image.values.nbytes == 8 * 2**20
     assert peak < 9 * 2**20
+
+
+@pytest.mark.parametrize("pages", [9, 10])
+def test_an_image_beyond_physical_memory_is_refused_before_it_is_formed(monkeypatch, pages):
+    # A 64^2 image takes 10 bytes a pixel (f64 values, u16 PGM), 40960 bytes:
+    # ten 4 KiB pages hold it, nine do not.  The memory figure is patched
+    # down, so no test allocates a large image.
+    monkeypatch.setattr(experiments.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}.get)
+    formed = []
+    monkeypatch.setattr(experiments, "intensity", lambda field: formed.append(field) or intensity(field))
+    small, scenario = GridSpec(64, 64, 13.5), Scenario(ScenarioKind.SEQUENTIAL, 0.1)
+    if pages == 10:
+        assert scenario_intensity_image(scenario, 0.1, small).values.shape == (64, 64)
+        assert len(formed) == 1
+        return
+    message = "a 64x64 image needs 40960 bytes, more than the 36864 bytes of physical memory"
+    with pytest.raises(MemoryError, match=message):
+        scenario_intensity_image(scenario, 0.1, small)
+    assert formed == []
 
 
 def test_preparation_failure_carries_first_delta():

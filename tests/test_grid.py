@@ -221,6 +221,26 @@ def test_sides_beyond_numpy_array_size_are_refused_on_the_ints(power):
             call()
 
 
+def test_coordinates_and_wavenumbers_are_built_once_per_grid_and_read_only():
+    # Equal GridSpecs share one set of arrays; another pitch or axis has its
+    # own, and a refused grid never reaches the cache.
+    wavenumbers = grid_module._wavenumbers
+    same, other = GridSpec(256, 256, 13.5), GridSpec(256, 256, 27.0)
+    assert all(a is b for a, b in zip(position_coords(GRID), position_coords(same)))
+    assert not any(a is b for a, b in zip(position_coords(GRID), position_coords(other)))
+    assert wavenumbers(GRID, Axis.X) is wavenumbers(same, Axis.X)
+    assert wavenumbers(GRID, Axis.X) is not wavenumbers(other, Axis.X)
+    assert wavenumbers(GRID, Axis.Y) is not wavenumbers(GRID, Axis.X)
+    np.testing.assert_array_equal(wavenumbers(GRID, Axis.Y), -wavenumbers(GRID, Axis.X))
+    for array in (*position_coords(GRID), wavenumbers(GRID, Axis.X), wavenumbers(GRID, Axis.Y)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    misses = grid_module._coords.cache_info().misses
+    with pytest.raises(MemoryError):
+        position_coords(GridSpec(2**63, 64, 13.5))
+    assert grid_module._coords.cache_info().misses == misses
+
+
 def test_fourier_lens_unitary_and_reciprocal_width():
     field = factored_gaussian(GRID, SIGMA, HORIZONTAL)
     far = fourier_lens(field)

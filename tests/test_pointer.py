@@ -254,9 +254,11 @@ def test_a_state_needs_a_positive_width():
 
 
 def test_calculus_outside_the_float_range_raises_a_simulation_error():
-    # 8 sigma^2 underflows to 0, sigma^2 overflows, (a - b)^2 overflows.
+    # 8 sigma^2 underflows to 0 or to a subnormal, sigma^2 overflows,
+    # (a - b)^2 overflows.
     for state, cause in (
         (initial_pointer_state(HORIZONTAL, 1e-200), "underflows"),
+        (initial_pointer_state(HORIZONTAL, 1e-160), r"8 sigma\^2 underflows at sigma = 1e-160 mm"),
         (initial_pointer_state(HORIZONTAL, 1e200), "overflows"),
         (run_sequential_chain(0.1116, 1e200), "overflows"),
     ):
