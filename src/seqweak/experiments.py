@@ -13,10 +13,12 @@ the 0.331 mm zero crossing of the joint deflection, not measured.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +40,11 @@ from .pointer import (
     GaussianSuperposition,
     apply_coupling,
     apply_polarization,
+    check_coupling,
     initial_pointer_state,
+    kernel_pairs,
     moments,
+    pair_moments,
     stationary_t,
 )
 from .qubit import HORIZONTAL, Observable, waveplate_hwp
@@ -74,7 +79,9 @@ class Scenario:
     """Optical train selection plus beam width and waveplate angles.
 
     The two plates and the calculus pointer after the preparation plate are
-    built once, here, and shared by every point that runs the scenario.
+    built once, here, and shared by every point that runs the scenario.  So
+    are the calculus pair lists, one for Delta = 0 and one for Delta > 0,
+    each kept by the second point that needs it.
     """
 
     kind: ScenarioKind
@@ -84,6 +91,7 @@ class Scenario:
     prep_plate: Observable = field(init=False, repr=False, compare=False)
     mid_plate: Observable = field(init=False, repr=False, compare=False)
     pointer: GaussianSuperposition = field(init=False, repr=False, compare=False)
+    pair_lists: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.sigma_mm < math.inf:
@@ -92,6 +100,7 @@ class Scenario:
         object.__setattr__(self, "mid_plate", waveplate_hwp(self.mid_angle_deg))
         pointer = initial_pointer_state(HORIZONTAL, self.sigma_mm)
         object.__setattr__(self, "pointer", apply_polarization(pointer, self.prep_plate))
+        object.__setattr__(self, "pair_lists", {})
 
 
 @dataclass(frozen=True)
@@ -160,11 +169,48 @@ def _grid(scenario: Scenario, grid: GridSpec):
     return apply_factored_unitary(beam, scenario.prep_plate)
 
 
+def _passed_on(state, *_):
+    return state
+
+
+def _keep_pairs(kept: list, delta_mm: float, state: GaussianSuperposition) -> DeflectionTriple:
+    """moments of the state, keeping its kernel_pairs list; every shift of a
+    train that couples each axis at most once is 0.0 or the coupling."""
+    pairs, lobes = kernel_pairs(state)
+    if not {0.0, delta_mm}.issuperset(chain.from_iterable(lobes)):
+        raise AssertionError("a calculus shift is neither 0 nor the one coupling")
+    kept.append((pairs, lobes))
+    return pair_moments(pairs, lobes, state.sigma)
+
+
 def analytic_deflections(scenario: Scenario, delta_mm: float) -> DeflectionTriple:
-    """Exact deflections from the Gaussian calculus for any plate angles."""
-    return _run_train(
-        scenario, delta_mm, scenario.pointer, apply_polarization, apply_coupling, moments
-    )
+    """Exact deflections from the Gaussian calculus for any plate angles.
+
+    Points with Delta = 0 and points with Delta > 0 are two kinds.  A
+    scenario's first point of a kind runs the train with moments, as a lone
+    point needs; its second runs it again and keeps each read-out's
+    kernel_pairs list.  Every later point finds its plates and couplings in
+    those lists, so the train passes them along and each read evaluates the
+    next with every nonzero shift made 0.0 + delta, as apply_coupling makes it.
+    """
+    coupled = delta_mm != 0.0
+    read_outs = scenario.pair_lists.get(coupled)
+    if read_outs is None:
+        kept = [] if coupled in scenario.pair_lists else None
+        read = moments if kept is None else functools.partial(_keep_pairs, kept, delta_mm)
+        triple = _run_train(
+            scenario, delta_mm, scenario.pointer, apply_polarization, apply_coupling, read
+        )
+        scenario.pair_lists[coupled] = kept
+        return triple
+    check_coupling(delta_mm)
+    shift, unread = 0.0 + delta_mm, iter(read_outs)
+
+    def evaluate(_):
+        pairs, lobes = next(unread)
+        return pair_moments(pairs, [(a and shift, b and shift) for a, b in lobes], scenario.sigma_mm)
+
+    return _run_train(scenario, delta_mm, None, _passed_on, _passed_on, evaluate)
 
 
 def _grid_train(scenario: Scenario, delta_mm, beam) -> DeflectionTriple:
@@ -318,28 +364,30 @@ def _format_number(value: float | None) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
+_NO_TRIPLE = DeflectionTriple(None, None, None)
+
+
 def records_to_csv(records: list[SweepRecord]) -> bytes:
-    """CSV with LF endings and shortest round-trip decimals."""
-    lines = [CSV_HEADER]
+    """CSV with LF endings and shortest round-trip decimals: each row joins
+    its fields' repr()s, and the document drops the ".0" that ends every
+    integral one at once, as _format_number would one by one."""
+    rows = [CSV_HEADER]
     for r in records:
-        analytic = r.analytic or DeflectionTriple(None, None, None)
-        grid_triple = r.grid or DeflectionTriple(None, None, None)
-        lines.append(
-            ",".join(
-                _format_number(v)
-                for v in (
-                    r.delta_mm,
-                    analytic.x_mm,
-                    analytic.y_mm,
-                    analytic.xy_mm2,
-                    grid_triple.x_mm,
-                    grid_triple.y_mm,
-                    grid_triple.xy_mm2,
-                    r.xy_discrepancy_mm2,
-                )
-            )
+        analytic = r.analytic or _NO_TRIPLE
+        grid_triple = r.grid or _NO_TRIPLE
+        fields = (
+            r.delta_mm,
+            analytic.x_mm,
+            analytic.y_mm,
+            analytic.xy_mm2,
+            grid_triple.x_mm,
+            grid_triple.y_mm,
+            grid_triple.xy_mm2,
+            r.xy_discrepancy_mm2,
         )
-    return ("\n".join(lines) + "\n").encode("ascii")
+        rows.append(",".join(["" if v is None else repr(float(v)) for v in fields]))
+    text = "\n".join(rows) + "\n"
+    return text.replace(".0,", ",").replace(".0\n", "\n").encode("ascii")
 
 
 def parse_csv(data: bytes) -> list[SweepRecord]:

@@ -13,6 +13,11 @@ value reduces to two closed-form kernels:
     <phi_a|x|phi_b> = (a + b)/2 * exp(-(a - b)^2 / (8 sigma^2))
 
 which makes the calculus exact; no quadrature or discretization enters.
+moments runs in two steps: kernel_pairs lists the same-polarization part
+pairs with their weights and their (bra, ket) shifts, and pair_moments
+evaluates the kernels and the sums over that list at given shifts.  A
+coupling's strength enters only through the shifts, so a scenario keeps
+its pair lists and a point of a sweep evaluates only the sums.
 All lengths are millimetres.
 """
 
@@ -66,6 +71,12 @@ def initial_pointer_state(pol: QubitState, sigma: float) -> GaussianSuperpositio
     return GaussianSuperposition(terms=((pol.amp_h, pol.amp_v, 0.0, 0.0),), sigma=sigma)
 
 
+def check_coupling(delta: float) -> None:
+    """A coupling shift is finite and nonnegative; ValueError otherwise."""
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"coupling shift must be finite and nonnegative, got {delta!r}")
+
+
 def apply_coupling(
     state: GaussianSuperposition, delta: float, axis: Axis
 ) -> GaussianSuperposition:
@@ -74,8 +85,7 @@ def apply_coupling(
     Implements exp(-i delta p (x) |H><H|), norm-preserving: each term splits
     into its H part, which moves, followed by its V part, which stays.
     """
-    if not 0.0 <= delta < math.inf:
-        raise ValueError(f"coupling shift must be finite and nonnegative, got {delta!r}")
+    check_coupling(delta)
     if delta == 0.0:
         return state
     split = []
@@ -102,10 +112,11 @@ def checked_unitary(u) -> tuple[complex, complex, complex, complex]:
         a.conjugate() * b + c.conjugate() * d,
         b.conjugate() * b + d.conjugate() * d - 1.0,
     )
-    if not all(math.hypot(g.real, g.imag) <= UNITARITY_TOL for g in gram):
-        with np.errstate(invalid="ignore", over="ignore"):
-            defect = np.abs(m.conj().T @ m - np.eye(2)).max()
-        raise NonUnitary(f"matrix deviates from unitarity by {defect:g}")
+    for g in gram:
+        if not math.hypot(g.real, g.imag) <= UNITARITY_TOL:
+            with np.errstate(invalid="ignore", over="ignore"):
+                defect = np.abs(m.conj().T @ m - np.eye(2)).max()
+            raise NonUnitary(f"matrix deviates from unitarity by {defect:g}")
     return a, b, c, d
 
 
@@ -118,56 +129,72 @@ def apply_polarization(
     return GaussianSuperposition(terms=terms, sigma=state.sigma)
 
 
-def _pairwise_sums(state: GaussianSuperposition):
-    """<psi|psi>, <x>, <y> and <x y> sums over same-polarization part pairs.
+def kernel_pairs(state: GaussianSuperposition):
+    """The same-polarization part pairs of the state as (pairs, lobes).
 
-    Each term contributes its nonzero H and V parts, in term order.  Each
-    pair's two overlaps exp(-(a - b)^2 / (8 sigma^2)) come from one np.exp
-    call over all pairs, with the exponents built in Python floats; the sums
-    accumulate in Python complex in bra-major pair order.
+    Each term contributes its nonzero H and V parts, in term order; pairs
+    holds (w, i, j) per pair in bra-major order, with w = conj(ca) cb, and
+    lobes[i] and lobes[j] are the pair's (bra, ket) shifts along x and y.
+    Equal lobes share one entry.
     """
-    sigma = state.sigma
     parts = [
         (amp, sx, sy, pol)
         for h, v, sx, sy in state.terms
         for pol, amp in ((0, h), (1, v))
         if amp
     ]
-    pairs = [(bra, ket) for bra in parts for ket in parts if bra[3] == ket[3]]
-    exponents = []
+    lobes = {}
+    pairs = [
+        (
+            ca.conjugate() * cb,
+            lobes.setdefault((ax, bx), len(lobes)),
+            lobes.setdefault((ay, by), len(lobes)),
+        )
+        for ca, ax, ay, bra_pol in parts
+        for cb, bx, by, ket_pol in parts
+        if bra_pol == ket_pol
+    ]
+    return pairs, list(lobes)
+
+
+def pair_moments(pairs, lobes, sigma: float) -> DeflectionTriple:
+    """<x>, <y> and <x y> over a kernel_pairs list at the given lobe shifts.
+
+    Each lobe (a, b) has the overlap o = exp(-(a - b)^2 / (8 sigma^2)), all
+    from one np.exp call with the exponents built in Python floats, and the
+    first moment (a + b)/2 o.  The <psi|psi>, <x>, <y> and <x y> sums
+    accumulate in Python complex in pair order.
+    """
     try:
         width = 8.0 * sigma**2
         if width < sys.float_info.min:  # subnormal or 0: a few bits, or none
             raise OutOfFloatRange(f"kernel width 8 sigma^2 underflows at sigma = {sigma:g} mm")
-        for (_, ax, ay, _), (_, bx, by, _) in pairs:
-            exponents.append(-((ax - bx) ** 2) / width)
-            exponents.append(-((ay - by) ** 2) / width)
+        exponents = [-((a - b) ** 2) / width for a, b in lobes]
     except OverflowError as exc:
         raise OutOfFloatRange(f"a squared shift or width overflows at sigma = {sigma:g} mm") from exc
-    damps = np.exp(exponents).tolist()
+    kernels = [(o, 0.5 * (a + b) * o) for (a, b), o in zip(lobes, np.exp(exponents).tolist())]
     norm = x_acc = y_acc = xy_acc = 0j
-    for ((ca, ax, ay, _), (cb, bx, by, _)), ox, oy in zip(pairs, damps[0::2], damps[1::2]):
-        w = ca.conjugate() * cb
-        fx = 0.5 * (ax + bx) * ox
-        fy = 0.5 * (ay + by) * oy
-        norm += w * ox * oy
-        x_acc += w * fx * oy
-        y_acc += w * ox * fy
-        xy_acc += w * fx * fy
-    return norm, x_acc, y_acc, xy_acc
+    for w, i, j in pairs:
+        ox, fx = kernels[i]
+        oy, fy = kernels[j]
+        wo, wf = w * ox, w * fx  # each term is w * (x kernel) * (y kernel)
+        norm += wo * oy
+        x_acc += wf * oy
+        y_acc += wo * fy
+        xy_acc += wf * fy
+    # Each ratio is numpy's complex division, which rounds differently from
+    # Python's: with a complex128 divisor, complex128's reflected division
+    # runs first.  Three scalar divisions take less time than one np.divide
+    # over the three sums, and warn by the same name.
+    norm = np.complex128(norm)
+    return DeflectionTriple(
+        float((x_acc / norm).real), float((y_acc / norm).real), float((xy_acc / norm).real)
+    )
 
 
 def moments(state: GaussianSuperposition) -> DeflectionTriple:
     """Exact <x>, <y>, <x y> of the pointer state."""
-    norm, x_acc, y_acc, xy_acc = _pairwise_sums(state)
-    # numpy's complex division, which rounds differently from Python's: with a
-    # complex128 divisor, complex128's reflected division runs first.
-    norm = np.complex128(norm)
-    return DeflectionTriple(
-        x_mm=float((x_acc / norm).real),
-        y_mm=float((y_acc / norm).real),
-        xy_mm2=float((xy_acc / norm).real),
-    )
+    return pair_moments(*kernel_pairs(state), state.sigma)
 
 
 def _check_closed_form(delta: float = 0.0, sigma: float = 1.0) -> None:

@@ -76,7 +76,7 @@ class Observable:
     def __array__(self, dtype=None, copy=None):
         if copy:
             return np.array(self.matrix, dtype=dtype if dtype is not None else complex)
-        return self.matrix if dtype is None else self.matrix.astype(dtype)
+        return self.matrix if dtype is None else self.matrix.astype(dtype, copy=False)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from seqweak.experiments import (
     ScenarioKind,
     SweepRecord,
     SweepSpec,
+    _format_number,
     analytic_deflections,
     export_csv,
     find_extremum,
@@ -47,6 +48,7 @@ from seqweak.pointer import (
     Axis,
     DeflectionTriple,
     anomaly_threshold,
+    apply_coupling,
     apply_polarization,
     closed_form_sequential,
     closed_form_single_coupling,
@@ -414,6 +416,103 @@ def test_analytic_sweep_prepares_the_pointer_once(kind, monkeypatch):
     # The stored pointer is the per-point preparation it replaces, bit for bit.
     want = apply_polarization(initial(HORIZONTAL, 0.2), waveplate_hwp(25.0))
     assert repr(scenario.pointer) == repr(want)
+
+
+def calculus_outcome(call):
+    """A calculus point's bits on the uint64 view, or its error's type and
+    message (the suite turns numpy's RuntimeWarnings into errors)."""
+    try:
+        triple = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return np.array([triple.x_mm, triple.y_mm, triple.xy_mm2]).view(np.uint64).tolist()
+
+
+def test_calculus_points_match_the_verb_train_bit_for_bit():
+    # Four points per scenario: the first of a kind runs the train, the
+    # second keeps its pair lists and the later ones evaluate them.  Each
+    # gives the bits, or the error, of the train run with the calculus verbs.
+    rng = random.Random(20)
+    outcomes = {"value": 0, "error": 0}
+    for _ in range(1250):
+        kind = rng.choice(ALL_KINDS)
+        sigma = rng.choice([10 ** rng.uniform(-3.0, 2.0)] * 4 + [1e-150, 1e150])
+        prep, mid = (rng.choice([rng.uniform(-90.0, 90.0), 0.0, 45.0, 90.0]) for _ in range(2))
+        scenario = Scenario(kind, sigma, prep, mid)
+        for _ in range(4):
+            delta = rng.choice(
+                [0.0, 5e-324, 10 ** rng.uniform(-160.0, 200.0), math.nan, math.inf, -math.inf, -1.0]
+                + [10 ** rng.uniform(-3.0, 1.0) * sigma] * 5
+            )
+            want = calculus_outcome(
+                lambda: experiments._run_train(
+                    scenario, delta, scenario.pointer, apply_polarization, apply_coupling, moments
+                )
+            )
+            assert calculus_outcome(lambda: analytic_deflections(scenario, delta)) == want
+            outcomes["error" if isinstance(want, tuple) else "value"] += 1
+    assert sum(outcomes.values()) >= 5000 and min(outcomes.values()) >= 500
+
+
+CALCULUS_VERBS = ("apply_polarization", "apply_coupling", "moments", "kernel_pairs", "pair_moments")
+
+
+def count_calculus_verbs(monkeypatch):
+    counts = dict.fromkeys(CALCULUS_VERBS, 0)
+    for name in CALCULUS_VERBS:
+        real = getattr(experiments, name)
+
+        def counting(*args, name=name, real=real):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(experiments, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_sweep_keeps_its_pair_lists_once_per_scenario(kind, monkeypatch):
+    # The first point of each kind (Delta = 0, Delta > 0) runs the train with
+    # moments; the second Delta > 0 runs it again and keeps one pair list per
+    # read-out; the other 28 points evaluate those lists.
+    counts = count_calculus_verbs(monkeypatch)
+    scenario = Scenario(kind, 0.2, 25.0, -35.0)
+    read_outs = 2 if kind is ScenarioKind.TWO_QUBIT else 1
+    couplings, plates = (1, 0) if kind is ScenarioKind.SINGLE else (2, 1)
+    spec = SweepSpec(scenario, 0.0, 0.711, 31)
+    run_sweep(spec)
+    assert counts == {
+        "apply_polarization": 1 + 3 * plates,
+        "apply_coupling": 3 * couplings,
+        "moments": 2 * read_outs,
+        "kernel_pairs": read_outs,
+        "pair_moments": 29 * read_outs,
+    }
+    # A second sweep keeps the Delta = 0 lists at its first point; a third
+    # runs no train at all.
+    run_sweep(spec)
+    assert counts["kernel_pairs"] == 2 * read_outs
+    run_sweep(spec)
+    assert counts["kernel_pairs"] == 2 * read_outs
+    assert counts["apply_coupling"] == 4 * couplings
+    assert counts["pair_moments"] == (29 + 31 + 31) * read_outs
+
+
+# Scenario() plus one calculus point, when every point ran the whole train.
+ONE_POINT_CALLS = {
+    ScenarioKind.SEQUENTIAL: {"apply_polarization": 2, "apply_coupling": 2, "moments": 1},
+    ScenarioKind.TWO_QUBIT: {"apply_polarization": 2, "apply_coupling": 2, "moments": 2},
+    ScenarioKind.SINGLE: {"apply_polarization": 1, "apply_coupling": 1, "moments": 1},
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("delta", [0.0, 0.3])
+def test_a_one_point_scenario_runs_no_calculus_verb_more_often(kind, delta, monkeypatch):
+    counts = count_calculus_verbs(monkeypatch)
+    analytic_deflections(Scenario(kind, 0.2, 25.0, -35.0), delta)
+    for verb, calls in counts.items():
+        assert calls <= ONE_POINT_CALLS[kind].get(verb, 0), verb
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -802,6 +901,40 @@ def test_csv_round_trip_analytic_only(tmp_path):
     out = tmp_path / "sweep.csv"
     export_csv(records, out)
     assert parse_csv(out.read_bytes()) == records
+
+
+def csv_per_field(records):
+    """records_to_csv as first written: _format_number field by field."""
+    lines = [CSV_HEADER]
+    for r in records:
+        analytic = r.analytic or DeflectionTriple(None, None, None)
+        grid_triple = r.grid or DeflectionTriple(None, None, None)
+        fields = (r.delta_mm, *vars(analytic).values(), *vars(grid_triple).values(), r.xy_discrepancy_mm2)
+        lines.append(",".join(_format_number(v) for v in fields))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def test_csv_in_one_pass_gives_the_per_field_bytes():
+    rng = random.Random(21)
+    specials = [-0.0, 0.0, 1.0, -3.0, 10.0, 1e16, -1e16, 1e22, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
+
+    def number():
+        pick = rng.random()
+        if pick < 0.4:
+            return rng.choice(specials)
+        if pick < 0.6:
+            return float(rng.randint(-10**6, 10**6))
+        return rng.uniform(-2.0, 2.0) * 10.0 ** rng.randint(-320, 300)
+
+    def triple():
+        return None if rng.random() < 0.3 else DeflectionTriple(number(), number(), number())
+
+    for _ in range(3000):
+        records = [
+            SweepRecord(number(), triple(), triple(), None if rng.random() < 0.3 else number())
+            for _ in range(rng.randint(0, 6))
+        ]
+        assert records_to_csv(records) == csv_per_field(records)
 
 
 def test_parse_csv_rejects_foreign_header():
