@@ -13,7 +13,6 @@ the 0.331 mm zero crossing of the joint deflection, not measured.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import numbers
 import os
@@ -43,7 +42,6 @@ from .pointer import (
     check_coupling,
     initial_pointer_state,
     kernel_pairs,
-    moments,
     pair_moments,
     stationary_t,
 )
@@ -80,8 +78,8 @@ class Scenario:
 
     The two plates and the calculus pointer after the preparation plate are
     built once, here, and shared by every point that runs the scenario.  So
-    are the calculus pair lists, one for Delta = 0 and one for Delta > 0,
-    each kept by the second point that needs it.
+    are the calculus pair lists, one per read-out, kept by the scenario's
+    first calculus point.
     """
 
     kind: ScenarioKind
@@ -91,7 +89,7 @@ class Scenario:
     prep_plate: Observable = field(init=False, repr=False, compare=False)
     mid_plate: Observable = field(init=False, repr=False, compare=False)
     pointer: GaussianSuperposition = field(init=False, repr=False, compare=False)
-    pair_lists: dict = field(init=False, repr=False, compare=False)
+    pair_lists: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.sigma_mm < math.inf:
@@ -100,7 +98,7 @@ class Scenario:
         object.__setattr__(self, "mid_plate", waveplate_hwp(self.mid_angle_deg))
         pointer = initial_pointer_state(HORIZONTAL, self.sigma_mm)
         object.__setattr__(self, "pointer", apply_polarization(pointer, self.prep_plate))
-        object.__setattr__(self, "pair_lists", {})
+        object.__setattr__(self, "pair_lists", [])
 
 
 @dataclass(frozen=True)
@@ -173,44 +171,41 @@ def _passed_on(state, *_):
     return state
 
 
-def _keep_pairs(kept: list, delta_mm: float, state: GaussianSuperposition) -> DeflectionTriple:
-    """moments of the state, keeping its kernel_pairs list; every shift of a
-    train that couples each axis at most once is 0.0 or the coupling."""
-    pairs, lobes = kernel_pairs(state)
-    if not {0.0, delta_mm}.issuperset(chain.from_iterable(lobes)):
-        raise AssertionError("a calculus shift is neither 0 nor the one coupling")
-    kept.append((pairs, lobes))
-    return pair_moments(pairs, lobes, state.sigma)
-
-
 def analytic_deflections(scenario: Scenario, delta_mm: float) -> DeflectionTriple:
     """Exact deflections from the Gaussian calculus for any plate angles.
 
-    Points with Delta = 0 and points with Delta > 0 are two kinds.  A
-    scenario's first point of a kind runs the train with moments, as a lone
-    point needs; its second runs it again and keeps each read-out's
-    kernel_pairs list.  Every later point finds its plates and couplings in
-    those lists, so the train passes them along and each read evaluates the
-    next with every nonzero shift made 0.0 + delta, as apply_coupling makes it.
+    Every shift of a train that couples each axis at most once is 0.0 or the
+    coupling.  So a scenario's first point, whatever its Delta, runs the
+    train once at a unit coupling and keeps each read-out's kernel_pairs
+    list; every point evaluates those lists with each nonzero shift made
+    0.0 + delta, as apply_coupling makes it, and later points pass the
+    train's plates and couplings over.  At Delta = 0 every lobe is
+    (0.0, 0.0), so the first-moment sums are +0.0, as the unsplit train
+    gives them.
     """
-    coupled = delta_mm != 0.0
-    read_outs = scenario.pair_lists.get(coupled)
-    if read_outs is None:
-        kept = [] if coupled in scenario.pair_lists else None
-        read = moments if kept is None else functools.partial(_keep_pairs, kept, delta_mm)
-        triple = _run_train(
-            scenario, delta_mm, scenario.pointer, apply_polarization, apply_coupling, read
-        )
-        scenario.pair_lists[coupled] = kept
-        return triple
     check_coupling(delta_mm)
-    shift, unread = 0.0 + delta_mm, iter(read_outs)
+    shift = 0.0 + delta_mm
 
-    def evaluate(_):
-        pairs, lobes = next(unread)
+    def evaluate(pairs, lobes):
         return pair_moments(pairs, [(a and shift, b and shift) for a, b in lobes], scenario.sigma_mm)
 
-    return _run_train(scenario, delta_mm, None, _passed_on, _passed_on, evaluate)
+    if scenario.pair_lists:
+        unread = iter(scenario.pair_lists)
+        return _run_train(
+            scenario, delta_mm, None, _passed_on, _passed_on, lambda _: evaluate(*next(unread))
+        )
+    kept = []
+
+    def keep(state):
+        pairs, lobes = kernel_pairs(state)
+        if not {0.0, 1.0}.issuperset(chain.from_iterable(lobes)):
+            raise AssertionError("a calculus shift is neither 0 nor the one coupling")
+        kept.append((pairs, lobes))
+        return evaluate(pairs, lobes)
+
+    triple = _run_train(scenario, 1.0, scenario.pointer, apply_polarization, apply_coupling, keep)
+    scenario.pair_lists.extend(kept)
+    return triple
 
 
 def _grid_train(scenario: Scenario, delta_mm, beam) -> DeflectionTriple:
@@ -274,9 +269,10 @@ def _grid_points(scenario: Scenario, grid: GridSpec, deltas: list[float]):
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Run the sweep, ascending delta, one record per point.
 
-    At each point the calculus runs on the scenario's prepared pointer, then
-    the grid takes its next point from _grid_points, which prepares the beam
-    once and runs the train once per block of couplings.  A failure names
+    At each point the calculus evaluates the scenario's pair lists, which
+    its first calculus point builds, then the grid takes its next point from
+    _grid_points, which prepares the beam once and runs the train once per
+    block of couplings.  A failure names
     the first failing point, and at one point the calculus fails first.
     """
     deltas = np.linspace(spec.delta_start_mm, spec.delta_stop_mm, spec.steps).tolist()

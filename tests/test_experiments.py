@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 from test_grid import DenseField, dense_intensity, run_grid_chain
 from test_pointer import run_chain
 
-from seqweak import experiments, grid
+from seqweak import experiments, grid, pointer
 from seqweak.errors import (
     GridTooCoarse,
     NoInteriorExtremum,
@@ -429,9 +429,10 @@ def calculus_outcome(call):
 
 
 def test_calculus_points_match_the_verb_train_bit_for_bit():
-    # Four points per scenario: the first of a kind runs the train, the
-    # second keeps its pair lists and the later ones evaluate them.  Each
-    # gives the bits, or the error, of the train run with the calculus verbs.
+    # Four points per scenario: the first, whatever its Delta, runs the train
+    # at a unit coupling and keeps its pair lists, and every point evaluates
+    # them.  Each gives the bits, or the error, of the train run with the
+    # calculus verbs at its own coupling; -0.0 goes through 0.0 + delta.
     rng = random.Random(20)
     outcomes = {"value": 0, "error": 0}
     for _ in range(1250):
@@ -441,7 +442,7 @@ def test_calculus_points_match_the_verb_train_bit_for_bit():
         scenario = Scenario(kind, sigma, prep, mid)
         for _ in range(4):
             delta = rng.choice(
-                [0.0, 5e-324, 10 ** rng.uniform(-160.0, 200.0), math.nan, math.inf, -math.inf, -1.0]
+                [0.0, -0.0, 5e-324, 10 ** rng.uniform(-160.0, 200.0), math.nan, math.inf, -math.inf, -1.0]
                 + [10 ** rng.uniform(-3.0, 1.0) * sigma] * 5
             )
             want = calculus_outcome(
@@ -454,55 +455,56 @@ def test_calculus_points_match_the_verb_train_bit_for_bit():
     assert sum(outcomes.values()) >= 5000 and min(outcomes.values()) >= 500
 
 
-CALCULUS_VERBS = ("apply_polarization", "apply_coupling", "moments", "kernel_pairs", "pair_moments")
+CALCULUS_VERBS = ("apply_polarization", "apply_coupling", "kernel_pairs", "pair_moments")
 
 
 def count_calculus_verbs(monkeypatch):
-    counts = dict.fromkeys(CALCULUS_VERBS, 0)
-    for name in CALCULUS_VERBS:
-        real = getattr(experiments, name)
+    """Calls of the calculus verbs that experiments runs, and of
+    pointer.moments, which no calculus point needs."""
+    counts = dict.fromkeys(CALCULUS_VERBS + ("moments",), 0)
+    for module, name in [(experiments, name) for name in CALCULUS_VERBS] + [(pointer, "moments")]:
+        real = getattr(module, name)
 
         def counting(*args, name=name, real=real):
             counts[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(experiments, name, counting)
+        monkeypatch.setattr(module, name, counting)
     return counts
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_a_sweep_keeps_its_pair_lists_once_per_scenario(kind, monkeypatch):
-    # The first point of each kind (Delta = 0, Delta > 0) runs the train with
-    # moments; the second Delta > 0 runs it again and keeps one pair list per
-    # read-out; the other 28 points evaluate those lists.
+    # The first point, at Delta = 0, runs the train once at a unit coupling
+    # and keeps one pair list per read-out; every point of every sweep, the
+    # first included and whichever its Delta, evaluates those lists.
     counts = count_calculus_verbs(monkeypatch)
     scenario = Scenario(kind, 0.2, 25.0, -35.0)
     read_outs = 2 if kind is ScenarioKind.TWO_QUBIT else 1
     couplings, plates = (1, 0) if kind is ScenarioKind.SINGLE else (2, 1)
-    spec = SweepSpec(scenario, 0.0, 0.711, 31)
-    run_sweep(spec)
-    assert counts == {
-        "apply_polarization": 1 + 3 * plates,
-        "apply_coupling": 3 * couplings,
-        "moments": 2 * read_outs,
+    train = {
+        "apply_polarization": 1 + plates,
+        "apply_coupling": couplings,
         "kernel_pairs": read_outs,
-        "pair_moments": 29 * read_outs,
+        "moments": 0,
     }
-    # A second sweep keeps the Delta = 0 lists at its first point; a third
-    # runs no train at all.
-    run_sweep(spec)
-    assert counts["kernel_pairs"] == 2 * read_outs
-    run_sweep(spec)
-    assert counts["kernel_pairs"] == 2 * read_outs
-    assert counts["apply_coupling"] == 4 * couplings
-    assert counts["pair_moments"] == (29 + 31 + 31) * read_outs
+    for sweeps, (start, stop) in enumerate([(0.0, 0.711), (0.1, 0.5), (0.0, 0.711)], 1):
+        run_sweep(SweepSpec(scenario, start, stop, 31))
+        assert counts == {**train, "pair_moments": 31 * read_outs * sweeps}
 
 
-# Scenario() plus one calculus point, when every point ran the whole train.
+# Scenario() plus one calculus point: the train once, and one kernel_pairs
+# list, evaluated once, per read-out.
 ONE_POINT_CALLS = {
-    ScenarioKind.SEQUENTIAL: {"apply_polarization": 2, "apply_coupling": 2, "moments": 1},
-    ScenarioKind.TWO_QUBIT: {"apply_polarization": 2, "apply_coupling": 2, "moments": 2},
-    ScenarioKind.SINGLE: {"apply_polarization": 1, "apply_coupling": 1, "moments": 1},
+    ScenarioKind.SEQUENTIAL: {
+        "apply_polarization": 2, "apply_coupling": 2, "kernel_pairs": 1, "pair_moments": 1
+    },
+    ScenarioKind.TWO_QUBIT: {
+        "apply_polarization": 2, "apply_coupling": 2, "kernel_pairs": 2, "pair_moments": 2
+    },
+    ScenarioKind.SINGLE: {
+        "apply_polarization": 1, "apply_coupling": 1, "kernel_pairs": 1, "pair_moments": 1
+    },
 }
 
 
